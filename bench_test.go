@@ -377,7 +377,9 @@ func BenchmarkControllerStepSimple(b *testing.B) {
 
 // BenchmarkControllerStepMedium measures one MPC invocation on MEDIUM
 // (12 tasks, 4 processors, P=4, M=2) — the paper's "polynomial in tasks ×
-// processors × horizons" scaling claim.
+// processors × horizons" scaling claim. Its input is interior (no rate
+// bound or output constraint active), so every step takes mpc.StepTo's
+// zero-allocation fast path; scripts/check.sh gates on 0 allocs/op here.
 func BenchmarkControllerStepMedium(b *testing.B) {
 	sys := workload.Medium()
 	ctrl, err := core.New(sys, nil, workload.MediumController())
@@ -386,67 +388,13 @@ func BenchmarkControllerStepMedium(b *testing.B) {
 	}
 	u := []float64{0.5, 0.6, 0.55, 0.65}
 	rates := sys.InitialRates()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ctrl.Step(i, u, rates); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkControllerStepExplicitMedium measures the explicit-MPC fast
-// path on MEDIUM: with measured utilization near the set point the step is
-// a region lookup plus one exact interior evaluation, with zero heap
-// allocations. The benchmark fails if any step misses the compiled law,
-// so it can never silently degrade into benchmarking the iterative
-// fallback. scripts/check.sh gates on 0 allocs/op here.
-func BenchmarkControllerStepExplicitMedium(b *testing.B) {
-	sys := workload.Medium()
-	cfg := workload.MediumController()
-	cfg.Explicit = true
-	ctrl, err := core.New(sys, nil, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Utilization just under the set point with mid-box rates is the
-	// steady-state neighborhood the interior region covers: the output
-	// constraints have slack and no rate bound is tight. (u exactly at the
-	// set point sits on the region boundary and truthfully misses.)
-	u := append([]float64(nil), ctrl.SetPoints()...)
-	for i := range u {
-		u[i] *= 0.98
-	}
-	rates := make([]float64, len(sys.Tasks))
-	for i, tk := range sys.Tasks {
-		rates[i] = (tk.RateMin + tk.RateMax) / 2
-	}
-	if _, err := ctrl.Step(0, u, rates); err != nil { // warm lazily built buffers
+	if _, err := ctrl.Step(0, u, rates); err != nil { // build lazily allocated buffers
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ctrl.Step(i, u, rates); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if _, misses := ctrl.ExplicitCounts(); misses > 0 {
-		b.Fatalf("explicit law missed %d of %d steps; the numbers above measure the iterative fallback, not the lookup path", misses, b.N+1)
-	}
-}
-
-// BenchmarkExplicitCompileMedium measures the offline compile: the
-// one-time cost of enumerating the MEDIUM law's critical regions that the
-// per-step lookup above amortizes.
-func BenchmarkExplicitCompileMedium(b *testing.B) {
-	sys := workload.Medium()
-	cfg := workload.MediumController()
-	cfg.Explicit = true
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.New(sys, nil, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -674,7 +622,7 @@ func BenchmarkDeuconVsEuconMedium(b *testing.B) {
 	if testing.Short() {
 		b.Skip("MEDIUM comparison runs skipped in -short mode")
 	}
-	runWith := func(ctrl sim.RateController) float64 {
+	runWith := func(ctrl sim.Controller) float64 {
 		sys := workload.Medium()
 		s, err := sim.New(sim.Config{
 			System:         sys,
@@ -952,7 +900,7 @@ func BenchmarkAblationPIDCoupling(b *testing.B) {
 			},
 		}
 	}
-	errP1 := func(ctrl sim.RateController) float64 {
+	errP1 := func(ctrl sim.Controller) float64 {
 		s, err := sim.New(sim.Config{
 			System:         trap(),
 			SamplingPeriod: workload.SamplingPeriod,

@@ -6,13 +6,62 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	eucon "github.com/rtsyslab/eucon"
 )
 
+// joinGate wraps the daemon's listener so that no lane writes its first
+// frame (the join ack) until n lanes are ready to. No agent can report
+// before every agent's join was handled, so the lockstep daemon steps its
+// first period with the full fleet instead of racing the later hellos.
+type joinGate struct {
+	net.Listener
+	n    int
+	mu   sync.Mutex
+	seen int
+	open chan struct{}
+}
+
+// Accept implements net.Listener.
+func (g *joinGate) Accept() (net.Conn, error) {
+	c, err := g.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &gatedConn{Conn: c, g: g}, nil
+}
+
+// gatedConn holds its first Write until the gate opens. The wait is
+// bounded so a broken fleet fails the test's assertions instead of
+// hanging it.
+type gatedConn struct {
+	net.Conn
+	g     *joinGate
+	first sync.Once
+}
+
+// Write implements net.Conn.
+func (c *gatedConn) Write(b []byte) (int, error) {
+	c.first.Do(func() {
+		c.g.mu.Lock()
+		c.g.seen++
+		if c.g.seen == c.g.n {
+			close(c.g.open)
+		}
+		c.g.mu.Unlock()
+		select {
+		case <-c.g.open:
+		case <-time.After(5 * time.Second):
+		}
+	})
+	return c.Conn.Write(b)
+}
+
 // TestServeControllerFacade drives the paper's SIMPLE workload through the
 // root distributed facade: one controller daemon, two node agents (one per
-// processor, deliberately on different wire codecs), lockstep loop.
+// processor, deliberately on different wire codecs), lockstep loop. The
+// join gate makes the run deterministic: both agents join before period 0.
 func TestServeControllerFacade(t *testing.T) {
 	sys := eucon.SimpleWorkload()
 	ctrl, err := eucon.NewController(sys, nil, eucon.SimpleControllerConfig())
@@ -42,7 +91,8 @@ func TestServeControllerFacade(t *testing.T) {
 		}()
 	}
 
-	res, err := eucon.ServeController(ctx, sys, ctrl, ln,
+	gate := &joinGate{Listener: ln, n: sys.Processors, open: make(chan struct{})}
+	res, err := eucon.ServeController(ctx, sys, ctrl, gate,
 		eucon.DistributedPeriods(60), eucon.DistributedTrace(true))
 	wg.Wait()
 	if err != nil {

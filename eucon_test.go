@@ -1,6 +1,7 @@
 package eucon_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,7 +15,7 @@ func TestQuickstartConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := eucon.Simulate(eucon.SimulationConfig{
+	tr, err := eucon.SimulateContext(context.Background(), eucon.SimulationConfig{
 		System:         sys,
 		Controller:     ctrl,
 		SamplingPeriod: 1000,
@@ -88,7 +89,7 @@ func TestPublicStepETF(t *testing.T) {
 
 func TestRateSeriesExtraction(t *testing.T) {
 	sys := eucon.SimpleWorkload()
-	tr, err := eucon.Simulate(eucon.SimulationConfig{
+	tr, err := eucon.SimulateContext(context.Background(), eucon.SimulationConfig{
 		System:         sys,
 		SamplingPeriod: 1000,
 		Periods:        5,
@@ -118,5 +119,87 @@ func TestControllerStabilityAPI(t *testing.T) {
 	}
 	if g < 5 || g > 8 {
 		t.Fatalf("critical gain = %v out of expected band", g)
+	}
+}
+
+// TestReturnedRatesMayBeFedBack pins the contract agent.Server relies on:
+// a controller's returned slice may be passed straight back as the next
+// rates. Each controller runs one interior, relaxed and saturated sequence
+// twice — feeding the returned slice back, and feeding a copy — and both
+// runs must command bit-identical rates. The MPC controller must also
+// count no anti-windup resync: healthy actuation never diverges from the
+// command, so a sync would mean Step read rates it had already overwritten.
+func TestReturnedRatesMayBeFedBack(t *testing.T) {
+	sys := eucon.SimpleWorkload()
+	seq := [][]float64{
+		{0.5, 0.6}, {0.7, 0.75}, {0.80, 0.81}, {0.82, 0.825}, // approach: interior
+		{1.3, 1.2}, {1.1, 1.05}, // overload: relaxed, a rate pinned at R_min
+		{0.05, 0.05}, {0.05, 0.05}, {0.05, 0.05}, {0.05, 0.05}, // idle: large moves up
+		{0.6, 0.6}, {0.8, 0.8}, {0.825, 0.826}, {0.8279, 0.828}, // recovery: interior
+	}
+	run := func(ctrl eucon.Controller, feedBack bool) [][]float64 {
+		rates := sys.InitialRates()
+		var history [][]float64
+		for k, u := range seq {
+			next, err := ctrl.Step(k, u, rates)
+			if err != nil {
+				t.Fatalf("%s period %d: %v", ctrl.Name(), k, err)
+			}
+			history = append(history, append([]float64(nil), next...))
+			if feedBack {
+				rates = next
+			} else {
+				rates = append([]float64(nil), next...)
+			}
+		}
+		return history
+	}
+	same := func(name string, fed, copied [][]float64) {
+		t.Helper()
+		for k := range fed {
+			for i := range fed[k] {
+				if math.Float64bits(fed[k][i]) != math.Float64bits(copied[k][i]) {
+					t.Fatalf("%s period %d task %d: fed-back rate %v, copied rate %v", name, k, i, fed[k][i], copied[k][i])
+				}
+			}
+		}
+	}
+
+	mpcs := make([]*eucon.MPCController, 2)
+	var hist [2][][]float64
+	for i, feedBack := range []bool{true, false} {
+		ctrl, err := eucon.NewController(sys, nil, eucon.SimpleControllerConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mpcs[i], hist[i] = ctrl, run(ctrl, feedBack)
+	}
+	same("EUCON", hist[0], hist[1])
+	if a, b := mpcs[0].AntiWindupSyncs(), mpcs[1].AntiWindupSyncs(); a != 0 || b != 0 {
+		t.Errorf("EUCON anti-windup syncs: fed-back %d, copied %d; want 0 for healthy actuation", a, b)
+	}
+	saturated := false
+	for _, rates := range hist[1] {
+		for i, r := range rates {
+			if r == sys.Tasks[i].RateMin || r == sys.Tasks[i].RateMax { //eucon:float-exact the box clamp assigns the bound itself
+				saturated = true
+			}
+		}
+	}
+	if !saturated {
+		t.Error("sequence never saturated a rate; the saturated case went untested")
+	}
+
+	deucons := make([]*eucon.DecentralizedController, 2)
+	for i, feedBack := range []bool{true, false} {
+		ctrl, err := eucon.NewDecentralizedController(sys, nil, eucon.DecentralizedConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deucons[i], hist[i] = ctrl, run(ctrl, feedBack)
+	}
+	same("DEUCON", hist[0], hist[1])
+	if a, b := deucons[0].OutcomeCounts(), deucons[1].OutcomeCounts(); a != b {
+		t.Errorf("DEUCON solver outcomes diverge: fed-back %v, copied %v", a, b)
 	}
 }

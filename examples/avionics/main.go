@@ -78,13 +78,10 @@ func run() error {
 	}
 
 	// nil set points → Liu–Layland bounds per processor: holding them
-	// guarantees every subtask deadline under RMS. WithExplicit compiles
-	// the control law offline so each in-flight decision is a table lookup
-	// (rates are bit-identical to the iterative solver either way).
+	// guarantees every subtask deadline under RMS.
 	ctrl, err := eucon.NewControllerOpts(sys, nil,
 		eucon.WithHorizons(4, 2),
 		eucon.WithTrefOverTs(4),
-		eucon.WithExplicit(64),
 	)
 	if err != nil {
 		return err
@@ -147,7 +144,5 @@ func run() error {
 	}
 	fmt.Printf("\nend-to-end deadline misses: %d of %d completions\n",
 		trace.Stats.EndToEndDeadlineMisses, trace.Stats.EndToEndCompletions)
-	fmt.Printf("explicit-law lookups: %d hits, %d solver fallbacks\n",
-		trace.Stats.ExplicitHits, trace.Stats.ExplicitMisses)
 	return nil
 }

@@ -7,6 +7,9 @@ import (
 	"github.com/rtsyslab/eucon/internal/sim"
 )
 
+// DefaultTimeout bounds every lane send/receive.
+const DefaultTimeout = 10 * time.Second
+
 // DefaultMembershipTimeout evicts a member that has been silent this long.
 const DefaultMembershipTimeout = 30 * time.Second
 

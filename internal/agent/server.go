@@ -1,3 +1,13 @@
+// Package agent implements the distributed runtime of the EUCON
+// architecture (paper §4): a centralized controller daemon (Server)
+// connected through TCP feedback lanes to one node agent per processor
+// (RunAgent), each hosting a utilization monitor and a rate modulator.
+//
+// Node agents in this package carry a synthetic plant — utilization is
+// generated from the node's hosted subtasks, the current rates, and an
+// execution-time factor with optional noise. This exercises the control
+// plane end-to-end over real sockets; full-fidelity scheduling dynamics
+// (preemptive RMS, release guard, queueing) live in internal/sim.
 package agent
 
 import (
@@ -261,8 +271,27 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 	// any reader parked on the events channel.
 	close(s.stopped)
 	_ = s.ln.Close()
-	s.wg.Wait()
-	return res, err
+	readersDone := make(chan struct{})
+	go func() { //eucon:goroutine-ok joined by the drain loop below, which returns only once readersDone closes
+		s.wg.Wait()
+		close(readersDone)
+	}()
+	// A hello posted after control's last period was never handled: tell
+	// that agent the run is over and close its lane, or the agent waits out
+	// its I/O timeout for a join ack and its reader keeps Run from
+	// returning until then.
+	for {
+		select {
+		case ev := <-s.events:
+			if ev.kind == evJoin {
+				_ = ev.conn.Send(&lane.Message{Type: lane.TypeShutdown,
+					Shutdown: lane.Shutdown{Reason: "controller stopping"}}, s.opt.ioTimeout)
+				_ = ev.conn.Close()
+			}
+		case <-readersDone:
+			return res, err
+		}
+	}
 }
 
 // acceptLoop admits lanes and spawns one reader per connection.

@@ -45,36 +45,8 @@ func simpleController(t *testing.T, sys *task.System) sim.Controller {
 
 func TestServerConvergesWithFullFleet(t *testing.T) {
 	sys := workload.Simple()
-	srv, addr, done := startServer(t, sys, simpleController(t, sys),
-		WithPeriods(60), WithTrace(true), WithPeriodTimeout(5*time.Second))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		res, err := srv.Run(ctx)
-		done <- serverOutcome{res, err}
-	}()
-	var wg sync.WaitGroup
-	for p := 0; p < sys.Processors; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := RunAgent(ctx, sys, p, addr, WithETF(sim.ConstantETF(1))); err != nil {
-				t.Errorf("agent P%d: %v", p+1, err)
-			}
-		}()
-	}
-	out := <-done
-	wg.Wait()
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	res := out.res
-	if res.Periods != 60 {
-		t.Fatalf("Periods = %d, want 60", res.Periods)
-	}
-	if res.Joins != sys.Processors || res.Crashes != 0 {
-		t.Fatalf("membership: %d joins %d crashes, want %d joins 0 crashes", res.Joins, res.Crashes, sys.Processors)
-	}
+	res := runFleet(t, sys, simpleController(t, sys), 60, []Option{WithPeriodTimeout(5 * time.Second)},
+		func(int) []Option { return []Option{WithETF(sim.ConstantETF(1))} })
 	// The MPC loop must steer utilization to the set points.
 	sp := simpleController(t, sys).SetPoints()
 	final := res.Utilization[len(res.Utilization)-1]

@@ -12,14 +12,13 @@ import (
 
 // fixtures maps each testdata/src fixture directory to the synthetic import
 // path it is loaded under. Scoped analyzers (determinism, pooldiscipline)
-// key off the module-relative path, so their fixtures mount under
-// internal/sim (or internal/empc for the determinism-scope extension).
+// key off the module-relative path, so their fixtures mount under a
+// scoped package such as internal/sim.
 var fixtures = map[string]string{
 	"determinism":      "internal/sim/fixdeterminism",
 	"neighborscope":    "internal/mat/fixneighbor",
 	"faultdeterminism": "internal/fault/fixinjector",
 	"chaosdeterminism": "internal/chaos/fixchaos",
-	"empcdeterminism":  "internal/empc/fixempc",
 	"agentclock":       "internal/agent/fixclock",
 	"noalloc":          "fixnoalloc",
 	"floatsafety":      "fixfloat",
@@ -251,7 +250,7 @@ func TestDiagnosticOrderDeterministic(t *testing.T) {
 // analyzerFixtures maps each analyzer to the fixture directories that
 // exercise it, for the coverage meta-test.
 var analyzerFixtures = map[string][]string{
-	"determinism":    {"determinism", "neighborscope", "faultdeterminism", "chaosdeterminism", "empcdeterminism", "agentclock"},
+	"determinism":    {"determinism", "neighborscope", "faultdeterminism", "chaosdeterminism", "agentclock"},
 	"noalloc":        {"noalloc"},
 	"floatsafety":    {"floatsafety"},
 	"pooldiscipline": {"pool"},

@@ -10,7 +10,7 @@ import (
 )
 
 // runConcurrency enforces the worker-fabric disciplines the goroutine-
-// heavy layers (lane, agent, deucon, empc, experiments, chaos) must keep
+// heavy layers (lane, agent, deucon, experiments, chaos) must keep
 // as the distributed runtime grows:
 //
 //   - goroutine lifetime: every go statement must be joinable or

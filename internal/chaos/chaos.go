@@ -125,12 +125,6 @@ type Options struct {
 	// Campaign selects the run configuration (workload + controller +
 	// clause alphabet); the zero value is the canonical SIMPLE campaign.
 	Campaign Campaign
-	// Explicit runs every scenario with the explicit-MPC fast path
-	// enabled (core.Config.Explicit). Since the fast path is bit-identical
-	// to the iterative solve, the invariant set, violations, and shrunken
-	// reproducers are unchanged; campaigns with it on prove the explicit
-	// controller holds the same invariants under fault storms.
-	Explicit bool
 
 	// seedBug, when non-nil, plants a controller bug for harness
 	// self-tests: during the active window of every generated clause
@@ -260,9 +254,7 @@ func Check(ctx context.Context, specs []fault.Spec, opts Options) (problems []st
 	}
 
 	sys := workload.Simple()
-	ccfg := workload.SimpleController()
-	ccfg.Explicit = opts.Explicit
-	ctrl, err := core.New(sys, nil, ccfg)
+	ctrl, err := core.New(sys, nil, workload.SimpleController())
 	if err != nil {
 		return []string{fmt.Sprintf("build controller: %v", err)}, stats
 	}

@@ -39,23 +39,6 @@ func TestCampaignSmokeClean(t *testing.T) {
 	}
 }
 
-// TestCampaignExplicitClean re-runs the clean campaign with the explicit
-// control law in the loop: the offline-compiled controller must hold every
-// invariant under the same fault storms, with zero violations and zero
-// guard firings — the chaos-harness acceptance run for explicit MPC.
-func TestCampaignExplicitClean(t *testing.T) {
-	rep, err := Run(context.Background(), Options{Seed: 1, Scenarios: 10, Explicit: true})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !rep.Ok() {
-		t.Fatalf("explicit campaign reported violations: %+v", rep.Violations)
-	}
-	if rep.GuardFirings != 0 {
-		t.Fatalf("guards fired %d times on a clean explicit campaign", rep.GuardFirings)
-	}
-}
-
 // TestShrinkIsOneMinimal exercises the shrinker against a pure predicate:
 // failing iff the clause list contains both a FeedbackDrop and a
 // ProcCrash. The minimal reproducer must be exactly those two clauses.

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/rtsyslab/eucon/internal/empc"
 	"github.com/rtsyslab/eucon/internal/mat"
 	"github.com/rtsyslab/eucon/internal/mpc"
 	"github.com/rtsyslab/eucon/internal/sim"
@@ -54,17 +53,6 @@ type Config struct {
 	// actuation for the period (holding current rates) rather than steer
 	// the whole system on fiction. 0 selects 4.
 	StalenessBound int
-	// Explicit compiles the MPC's parametric QP into an offline
-	// piecewise-affine law at construction (see internal/empc). Control
-	// steps whose query lands in the law's bit-exact region skip the
-	// iterative solve entirely — rates are bit-identical either way, so
-	// traces and digests do not change; only the per-step cost does. Steps
-	// off the precomputed map fall back to the iterative solver and are
-	// counted through ExplicitCounts.
-	Explicit bool
-	// ExplicitMaxRegions caps the offline region enumeration; 0 selects
-	// the empc default.
-	ExplicitMaxRegions int
 	// RateMin and RateMax override the per-task actuator rate bounds the
 	// system declares; nil keeps the system's bounds. Overrides must have
 	// one entry per task.
@@ -87,9 +75,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Controller is the EUCON rate controller. It implements
-// sim.RateController and is driven once per sampling period. It is not
-// safe for concurrent use.
+// Controller is the EUCON rate controller. It implements sim.Controller
+// and is driven once per sampling period. It is not safe for concurrent
+// use.
 type Controller struct {
 	sys      *task.System
 	mpc      *mpc.Controller
@@ -99,6 +87,13 @@ type Controller struct {
 	filtered []float64 // EWMA state when MeasurementFilter > 0
 	relaxed  int
 	steps    int
+
+	// res is the reusable mpc.StepTo destination; out holds the rates Step
+	// returns. They are separate buffers because callers such as
+	// agent.Server pass the returned slice back as the next rates, and
+	// StepTo's interior path must not write the rates it is still reading.
+	res *mpc.StepResult
+	out []float64
 
 	// Hold-last-sample degradation state (see Config.StalenessBound):
 	// lastGood[p] is processor p's most recent usable measurement,
@@ -113,10 +108,6 @@ type Controller struct {
 	heldTotal    int
 	skippedTotal int
 
-	// explicitReport is the offline-compile report when Config.Explicit
-	// was set; nil otherwise.
-	explicitReport *empc.Report
-
 	// keBuf and kdBuf back the allocation-free gain queries of
 	// CriticalGain and StableAt (mpc.GainsTo), built on first use.
 	keBuf, kdBuf *mat.Dense
@@ -126,7 +117,6 @@ var (
 	_ sim.Controller          = (*Controller)(nil)
 	_ sim.DegradationReporter = (*Controller)(nil)
 	_ sim.ContainmentReporter = (*Controller)(nil)
-	_ sim.ExplicitReporter    = (*Controller)(nil)
 )
 
 // New builds an EUCON controller for the given system and utilization set
@@ -180,15 +170,10 @@ func New(sys *task.System, setPoints []float64, cfg Config) (*Controller, error)
 	if err != nil {
 		return nil, fmt.Errorf("eucon: %w", err)
 	}
-	c := &Controller{sys: sys, mpc: m, cfg: cfg, f: f, b: mat.VecClone(setPoints)}
-	if cfg.Explicit {
-		rep, err := m.CompileExplicit(empc.Options{MaxRegions: cfg.ExplicitMaxRegions})
-		if err != nil {
-			return nil, fmt.Errorf("eucon: %w", err)
-		}
-		c.explicitReport = rep
-	}
-	return c, nil
+	return &Controller{
+		sys: sys, mpc: m, cfg: cfg, f: f, b: mat.VecClone(setPoints),
+		res: m.NewStepResult(), out: make([]float64, len(rmin)),
+	}, nil
 }
 
 // Name implements sim.Controller.
@@ -200,7 +185,9 @@ func (c *Controller) Name() string { return "EUCON" }
 // filter and MPC ever see the vector; when every substitute would be
 // staler than Config.StalenessBound, the call degrades to skip-and-
 // saturate: the returned slice aliases the rates argument, signalling
-// "keep actuation unchanged" without copying.
+// "keep actuation unchanged" without copying. Otherwise the returned slice
+// is owned by the controller and overwritten by the next Step; passing it
+// back as the next rates is allowed.
 func (c *Controller) Step(_ int, u, rates []float64) ([]float64, error) {
 	u, ok := c.degradeFeedback(u)
 	if !ok {
@@ -220,22 +207,15 @@ func (c *Controller) Step(_ int, u, rates []float64) ([]float64, error) {
 		}
 		u = c.filtered
 	}
-	res, err := c.mpc.Step(u, rates)
-	if err != nil {
+	if err := c.mpc.StepTo(c.res, u, rates); err != nil {
 		return nil, fmt.Errorf("eucon: %w", err)
 	}
 	c.steps++
-	if res.OutputConstraintsRelaxed {
+	if c.res.OutputConstraintsRelaxed {
 		c.relaxed++
 	}
-	return res.NewRates, nil
-}
-
-// Rates is the pre-interface name of Step.
-//
-// Deprecated: use Step.
-func (c *Controller) Rates(k int, u, rates []float64) ([]float64, error) {
-	return c.Step(k, u, rates)
+	copy(c.out, c.res.NewRates)
+	return c.out, nil
 }
 
 // degradeFeedback applies the hold-last-sample policy to the measurement
@@ -327,35 +307,14 @@ func (c *Controller) LastOutcome() mpc.SolveOutcome { return c.mpc.LastOutcome()
 func (c *Controller) SetPoints() []float64 { return c.mpc.SetPoints() }
 
 // UpdateSetPoints changes the set points online (overload protection:
-// paper §3.3). When the controller runs with an explicit law and the set
-// points actually change, the law is recompiled for the new set points —
-// the piecewise-affine offsets bake them in — so the fast path survives
-// overload-protection transitions. Recompilation is an offline-scale cost
-// (tens of milliseconds) paid only on genuine set-point changes.
+// paper §3.3).
 func (c *Controller) UpdateSetPoints(b []float64) error {
 	if err := c.mpc.UpdateSetPoints(b); err != nil {
 		return fmt.Errorf("eucon: %w", err)
 	}
 	copy(c.b, b)
-	if c.cfg.Explicit && c.mpc.ExplicitLaw() == nil {
-		rep, err := c.mpc.CompileExplicit(empc.Options{MaxRegions: c.cfg.ExplicitMaxRegions})
-		if err != nil {
-			return fmt.Errorf("eucon: recompile explicit law: %w", err)
-		}
-		c.explicitReport = rep
-	}
 	return nil
 }
-
-// ExplicitCounts implements sim.ExplicitReporter: explicit fast-path hits
-// and fallback misses since construction or Reset. Both are zero when the
-// controller runs without Config.Explicit.
-func (c *Controller) ExplicitCounts() (hits, misses int) { return c.mpc.ExplicitCounts() }
-
-// ExplicitReport returns the offline-compile report of the explicit law
-// (region count, exploration stats, build digest), or nil when the
-// controller runs without Config.Explicit.
-func (c *Controller) ExplicitReport() *empc.Report { return c.explicitReport }
 
 // Reset restores the controller to its post-New state between runs: the
 // MPC's move memory, warm-start cache, and measurement-filter state are

@@ -70,7 +70,7 @@ func TestTraceRobustness(t *testing.T) {
 }
 
 // TestTraceRobustnessNaNSamples is the regression test for NaN poisoning:
-// non-finite utilization samples (the coordinator's Degrade mode) must be
+// non-finite utilization samples (lost reports recorded as NaN) must be
 // counted as maximally out of spec — NaN-absorbing comparisons used to drop
 // them silently, reporting a calm overshoot for a broken run.
 func TestTraceRobustnessNaNSamples(t *testing.T) {

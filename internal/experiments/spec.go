@@ -91,20 +91,14 @@ type Spec struct {
 	// (etf, replication) job; each job re-resolves probabilistic faults
 	// from its own run seed, so replications see independent patterns.
 	Faults []fault.Spec
-	// Explicit runs the MPC controller with an offline-compiled explicit
-	// law (see core.Config.Explicit). The fast path is bit-identical to
-	// the iterative solve, so every trace, sweep series, and digest is
-	// unchanged; only Stats.ExplicitHits/ExplicitMisses and the per-step
-	// cost differ. Ignored by non-MPC controller kinds.
-	Explicit bool
 	// System overrides the paper workload with a custom task system; with
 	// it set, Workload may be left zero. EUCON controllers for custom
 	// systems are built with the paper's SIMPLE parameters — supply Custom
 	// for different tuning.
 	System *task.System
-	// Custom supplies a pre-built controller, overriding Controller (and
-	// the Explicit flag). Run uses it directly; sweeps reject it, because
-	// one instance cannot be replicated across sweep workers.
+	// Custom supplies a pre-built controller, overriding Controller. Run
+	// uses it directly; sweeps reject it, because one instance cannot be
+	// replicated across sweep workers.
 	Custom sim.Controller
 	// SamplingPeriod overrides the sampling period in time units; zero
 	// selects the paper's (workload.SamplingPeriod).
@@ -154,7 +148,6 @@ func (s Spec) workload() (*task.System, workloadParams, error) {
 	default:
 		return nil, workloadParams{}, fmt.Errorf("experiments: unknown workload kind %d", int(s.Workload))
 	}
-	wp.cfg.Explicit = s.Explicit
 	return sys, wp, nil
 }
 

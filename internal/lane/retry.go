@@ -10,8 +10,8 @@ import (
 
 // ErrInjectedDrop marks a send discarded by a transport fault plan rather
 // than by the network. Callers distinguish it from real lane failures: a
-// lost report can be degraded around (the coordinator substitutes a missing
-// sample), while a broken connection cannot.
+// lost report can be degraded around (the controller daemon substitutes a
+// missing sample), while a broken connection cannot.
 var ErrInjectedDrop = errors.New("lane: injected transport drop")
 
 // Sender is the sending half of a lane, shared by Conn and FaultConn so

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/rtsyslab/eucon/internal/empc"
 	"github.com/rtsyslab/eucon/internal/mat"
 	"github.com/rtsyslab/eucon/internal/qp"
 )
@@ -80,7 +79,7 @@ func (c Config) validate(n, m int) error {
 // Everything that does not depend on the measurements is computed once at
 // construction and cached: the least-squares stack C (and, inside the LSI
 // solver, its Hessian CᵀC with Cholesky factorization) and both constraint
-// matrices. Step only refreshes the right-hand sides, so the steady-state
+// matrices. StepTo only refreshes the right-hand sides, so the steady-state
 // control path performs no matrix assembly and near-zero allocation.
 type Controller struct {
 	f         *mat.Dense // n×m allocation matrix
@@ -97,9 +96,9 @@ type Controller struct {
 	prevDelta []float64 // Δr(k−1), for the control penalty
 
 	// Anti-windup state: lastRates remembers the rates argument of the
-	// previous Step (the rates the plant actually applied), so the move
+	// previous step (the rates the plant actually applied), so the move
 	// memory can be reconciled with the achieved move when an actuator
-	// fault keeps a command from taking effect (see Step).
+	// fault keeps a command from taking effect (see pre).
 	lastRates   []float64
 	haveLast    bool
 	windupSyncs int
@@ -111,7 +110,7 @@ type Controller struct {
 	aBox  *mat.Dense // rate box only (the relaxation fallback)
 
 	// Tikhonov fallback solver: the stack [C; √λ·I] against the rate box,
-	// used when the nominal solve fails numerically (see Step's degradation
+	// used when the nominal solve fails numerically (see StepTo's degradation
 	// ladder). Built once at construction; nil only if its Hessian cannot
 	// be factored, in which case the ladder skips straight to holding.
 	lsiReg *qp.LSI
@@ -131,19 +130,6 @@ type Controller struct {
 	fastX       []float64 // StepTo interior fast-path solution scratch
 	prevRelaxed bool      // which constraint variant the warm-start set refers to
 
-	// Explicit-MPC state (nil law: iterative solver only). The law is the
-	// offline-compiled piecewise-affine map of internal/empc; lastRegion is
-	// the point-location warm-start hint. The exp* buffers back the reused
-	// StepResult of the zero-allocation explicit path.
-	law            *empc.Law
-	lastRegion     int
-	explicitHits   int
-	explicitMisses int
-	lastExplicit   SolveOutcome // SolveExplicit, SolveExplicitMiss, or SolveOK (no law)
-	theta          []float64
-	expX           []float64
-	expRes         StepResult
-
 	// GainsTo scratch: the QR factorization of the least-squares stack is
 	// constant after construction, so it is computed once on first use and
 	// cached with the basis-response buffers.
@@ -153,7 +139,7 @@ type Controller struct {
 	gainZ   []float64 // basis solution, cmat cols
 }
 
-// SolveOutcome classifies how a Step obtained its control move — which
+// SolveOutcome classifies how a step obtained its control move — which
 // rung of the numerical-failure degradation ladder produced the applied
 // rates. The ladder never lets a solver failure escape as an error or a
 // non-finite rate: each rung is strictly more conservative than the one
@@ -182,20 +168,13 @@ const (
 	SolveRegularized
 	// SolveHeld: every rung above failed; the controller held the
 	// last-applied rates (Δr = 0). The move memory reconciles itself
-	// through the anti-windup resync on the next Step, so no windup
+	// through the anti-windup resync on the next step, so no windup
 	// accumulates while holding.
 	SolveHeld
-	// SolveExplicit: the offline-compiled explicit law resolved the move —
-	// the query landed in the interior critical region and the bit-exact
-	// fast path (qp.LSI.SolveInteriorTo) produced rates identical to what
-	// the iterative solver would have returned. Not a degradation.
+	// SolveExplicit and SolveExplicitMiss are never produced. They
+	// belonged to a removed explicit-MPC law and stay only because
+	// outcome-count arrays elsewhere are sized SolveExplicitMiss+1.
 	SolveExplicit
-	// SolveExplicitMiss: an explicit law is attached but the query fell off
-	// its bit-exact map (a constrained critical region, off-map parameters,
-	// or a boundary-numerics disagreement); the iterative solver and its
-	// degradation ladder produced the move. Reported through
-	// ExplicitCounts and LastExplicitOutcome — a Step's Outcome always
-	// carries the ladder rung that actually produced the rates.
 	SolveExplicitMiss
 )
 
@@ -222,9 +201,7 @@ func (o SolveOutcome) String() string {
 }
 
 // Degraded reports whether the outcome came from a containment rung below
-// the normal solve paths (best-iterate, regularized, or held). An explicit
-// hit is a nominal solve; an explicit miss is classified by the ladder rung
-// that actually produced the move, not by the miss itself.
+// the normal solve paths (best-iterate, regularized, or held).
 func (o SolveOutcome) Degraded() bool {
 	switch o {
 	case SolveBestIterate, SolveRegularized, SolveHeld:
@@ -374,23 +351,9 @@ func (c *Controller) AppendSetPoints(dst []float64) []float64 {
 
 // UpdateSetPoints changes the utilization set points online (paper §3.3,
 // overload protection: set points can be lowered in anticipation of load).
-//
-// The explicit law bakes the set points into its affine offsets, so
-// changing them detaches any attached law; the controller reverts to the
-// iterative solver until CompileExplicit or AttachExplicit is called
-// again.
 func (c *Controller) UpdateSetPoints(b []float64) error {
 	if len(b) != c.n {
 		return fmt.Errorf("mpc: set points have length %d, want %d", len(b), c.n)
-	}
-	if c.law != nil {
-		for i := range b {
-			if b[i] != c.setPoints[i] { //eucon:float-exact the law is valid exactly when the baked-in set points are bit-identical to the new ones
-				c.law = nil
-				c.lastExplicit = SolveOK
-				break
-			}
-		}
 	}
 	copy(c.setPoints, b)
 	return nil
@@ -416,12 +379,6 @@ func (c *Controller) Reset() {
 	c.regularized = 0
 	c.heldSteps = 0
 	c.lastOutcome = SolveOK
-	c.explicitHits = 0
-	c.explicitMisses = 0
-	c.lastExplicit = SolveOK
-	if c.law != nil {
-		c.lastRegion = c.law.InteriorIndex()
-	}
 }
 
 // ContainmentCounts reports how many Steps since construction or Reset
@@ -430,7 +387,7 @@ func (c *Controller) ContainmentCounts() (bestIterate, regularized, held int) {
 	return c.bestIterates, c.regularized, c.heldSteps
 }
 
-// LastOutcome reports the degradation-ladder rung of the most recent Step.
+// LastOutcome reports the degradation-ladder rung of the most recent step.
 func (c *Controller) LastOutcome() SolveOutcome { return c.lastOutcome }
 
 // AntiWindupSyncs reports how many per-task move-memory entries had to be
@@ -438,42 +395,9 @@ func (c *Controller) LastOutcome() SolveOutcome { return c.lastOutcome }
 // one (actuator faults, external clamping).
 func (c *Controller) AntiWindupSyncs() int { return c.windupSyncs }
 
-// ExplicitCounts reports how many Steps since construction or Reset were
-// resolved by the explicit fast path (hits) versus fell back to the
-// iterative solver while a law was attached (misses). Both are zero when
-// no law has ever been attached.
-func (c *Controller) ExplicitCounts() (hits, misses int) {
-	return c.explicitHits, c.explicitMisses
-}
-
-// LastExplicitOutcome reports the explicit-law disposition of the most
-// recent Step: SolveExplicit (hit), SolveExplicitMiss (fell back), or
-// SolveOK when no law is attached.
-func (c *Controller) LastExplicitOutcome() SolveOutcome { return c.lastExplicit }
-
-// ExplicitLaw returns the attached explicit law, or nil when the
-// controller runs the iterative solver only.
-func (c *Controller) ExplicitLaw() *empc.Law { return c.law }
-
-// Step computes the control input for the next sampling period from the
-// measured utilizations u(k) and the currently applied rates r(k−1).
-//
-// Step contains every numerical failure of the underlying QP solve through
-// a staged degradation ladder (see SolveOutcome) and never lets one escape:
-// the returned error is non-nil only for caller bugs (wrong vector
-// lengths), and NewRates is always finite and inside the rate box. A
-// non-finite measurement vector short-circuits to the hold rung — steering
-// the plant on NaN would poison the move memory.
-func (c *Controller) Step(u, rates []float64) (*StepResult, error) {
-	if err := c.pre(u, rates); err != nil {
-		return nil, err
-	}
-	return c.stepSolve(u, rates), nil
-}
-
-// pre validates the input vectors and runs the anti-windup resync shared
-// by Step and StepTo. It must run exactly once per sampling period, before
-// any solve path reads c.prevDelta.
+// pre validates the input vectors and runs the anti-windup resync. It
+// must run exactly once per sampling period, before any solve path reads
+// c.prevDelta.
 //
 // Anti-windup: reconcile the move memory with the move the plant actually
 // achieved, rates(k−1) → rates(k). When actuation is healthy the achieved
@@ -505,9 +429,11 @@ func (c *Controller) pre(u, rates []float64) error {
 	return nil
 }
 
-// stepSolve is everything in Step after validation and anti-windup: the
-// explicit fast path, the iterative solve, and the degradation ladder. It
-// never fails — every numerical outcome maps to a ladder rung.
+// stepSolve is everything in a step after validation and anti-windup: the
+// iterative solve and the degradation ladder. It never fails — every
+// numerical outcome maps to a ladder rung. StepTo falls back to it off the
+// interior fast path, and tests use pre + stepSolve as the reference that
+// the fast path must reproduce bit for bit.
 func (c *Controller) stepSolve(u, rates []float64) *StepResult {
 	for _, v := range u {
 		if !finite(v) {
@@ -519,18 +445,6 @@ func (c *Controller) stepSolve(u, rates []float64) *StepResult {
 	}
 	c.fillLeastSquaresRHS(u, c.dbuf)
 	c.fillConstraintRHS(u, rates, true, c.bFull)
-
-	// Explicit fast path: when an offline-compiled law is attached and the
-	// query lands in its bit-exact region, the move is resolved without the
-	// iterative active-set solve. A miss falls through to the iterative
-	// path below, which reuses the right-hand sides already filled above.
-	if c.law != nil {
-		if res, ok := c.stepExplicit(u, rates); ok {
-			return res
-		}
-		c.explicitMisses++
-		c.lastExplicit = SolveExplicitMiss
-	}
 
 	// Pick a feasible starting point analytically instead of relying on the
 	// solver's generic (and expensive) phase-1. Δr = 0 is feasible unless a
@@ -658,16 +572,26 @@ func (c *Controller) NewStepResult() *StepResult {
 	}
 }
 
-// StepTo is Step writing into a caller-owned, reusable StepResult
-// (allocate it once with NewStepResult). In the steady state — strictly
-// feasible measurements, no rate bound or output constraint active, no
-// explicit law attached — the move resolves through the zero-allocation
-// interior fast path, which reproduces Step's arithmetic bit for bit (the
-// qp.LSI.SolveInteriorTo guards are exactly the conditions under which the
-// iterative solve completes in one unblocked Newton step from Δr = 0).
-// Off the fast path, StepTo delegates to the full solve-plus-ladder and
-// copies the result, so outputs are always identical to Step's; only the
-// allocation profile differs. out's slices are overwritten, never retained.
+// StepTo computes the control input for the next sampling period from the
+// measured utilizations u(k) and the currently applied rates r(k−1), writing
+// into a caller-owned, reusable StepResult (allocate it once with
+// NewStepResult). out's slices are overwritten, never retained; rates must
+// not alias them.
+//
+// StepTo contains every numerical failure of the underlying QP solve through
+// a staged degradation ladder (see SolveOutcome) and never lets one escape:
+// the returned error is non-nil only for caller bugs (wrong vector
+// lengths), and out.NewRates is always finite and inside the rate box. A
+// non-finite measurement vector short-circuits to the hold rung — steering
+// the plant on NaN would poison the move memory.
+//
+// In the steady state — strictly feasible measurements, no rate bound or
+// output constraint active — the move resolves through the zero-allocation
+// interior fast path, which reproduces the iterative solve's arithmetic bit
+// for bit (the qp.LSI.SolveInteriorTo guards are exactly the conditions
+// under which the iterative solve completes in one unblocked Newton step
+// from Δr = 0). Off the fast path, StepTo runs the full solve-plus-ladder
+// and copies its result.
 //
 //eucon:noalloc
 func (c *Controller) StepTo(out *StepResult, u, rates []float64) error {
@@ -684,16 +608,12 @@ func (c *Controller) StepTo(out *StepResult, u, rates []float64) error {
 
 // stepInteriorTo attempts the interior fast path for StepTo. It reports
 // false (receiver untouched beyond scratch, right-hand sides refilled by
-// the caller's fallback) whenever any Step behavior other than the plain
+// the caller's fallback) whenever any behavior other than the plain
 // unconstrained-interior solve could apply: non-finite measurements, an
-// attached explicit law (its hit/miss bookkeeping belongs to stepSolve),
-// or an undersized destination.
+// active constraint, or an undersized destination.
 //
 //eucon:noalloc
 func (c *Controller) stepInteriorTo(out *StepResult, u, rates []float64) bool {
-	if c.law != nil {
-		return false
-	}
 	if cap(out.DeltaR) < c.m || cap(out.NewRates) < c.m || cap(out.PredictedUtil) < c.n {
 		return false
 	}
@@ -755,7 +675,7 @@ func copyStepResultInto(out, res *StepResult) {
 // keeping the last-applied rates (clipped to the box so even an
 // out-of-range caller vector cannot escape). The zeroed move memory is
 // reconciled against the achieved move by the anti-windup resync at the
-// next Step, exactly as for an actuator fault, so holding accumulates no
+// next step, exactly as for an actuator fault, so holding accumulates no
 // windup.
 func (c *Controller) holdStep(u, rates []float64) *StepResult {
 	c.heldSteps++
@@ -788,204 +708,6 @@ func (c *Controller) holdStep(u, rates []float64) *StepResult {
 		SolverIterations:         0,
 		Outcome:                  SolveHeld,
 	}
-}
-
-// stepExplicit attempts the explicit-law fast path: locate the critical
-// region of θ = (u, r(k−1), Δr(k−1)) with a last-region warm start, then
-// resolve the move through the bit-exact interior solve. It requires
-// c.dbuf and c.bFull to hold the current right-hand sides (Step fills
-// them before both paths). ok reports a hit; on a miss the caller falls
-// through to the iterative solver on the same buffers.
-//
-// Only the interior (empty-active-set) region is evaluated here: for it,
-// qp.LSI.SolveInteriorTo reproduces the iterative solver's arithmetic
-// bit-for-bit, so simulation digests are unchanged. Constrained regions
-// carry tolerance-accurate stored gains (Law.EvaluateInto) — sufficient
-// for analysis but not for digest fidelity — so they report a miss and
-// delegate to the ladder (DESIGN.md §10).
-//
-// The returned StepResult and its slices are owned by the controller and
-// reused by the next explicit hit; callers must copy what they keep (the
-// simulator already does).
-//
-//eucon:noalloc
-func (c *Controller) stepExplicit(u, rates []float64) (*StepResult, bool) {
-	th := c.theta
-	copy(th[:c.n], u)
-	copy(th[c.n:c.n+c.m], rates)
-	copy(th[c.n+c.m:], c.prevDelta)
-	interior := c.law.InteriorIndex()
-	if c.lastRegion != interior {
-		// Geometric point location, warm-started from the previous region.
-		// When the hint already is the interior region the halfspace scan is
-		// skipped entirely: SolveInteriorTo's feasibility guards are the
-		// exact membership test and strictly subsume the stored halfspaces.
-		idx := c.law.Locate(th, c.lastRegion)
-		if idx >= 0 {
-			c.lastRegion = idx
-		}
-		if idx != interior {
-			return nil, false
-		}
-	}
-	iters, ok := c.lsi.SolveInteriorTo(c.expX, c.dbuf, c.aFull, c.bFull)
-	if !ok {
-		// The exact guards disagreed with the geometric hint (boundary
-		// numerics): refresh the hint truthfully, then fall back.
-		c.lastRegion = c.law.Locate(th, c.lastRegion)
-		return nil, false
-	}
-	res := &c.expRes
-	delta, newRates, pred := res.DeltaR, res.NewRates, res.PredictedUtil
-	copy(delta, c.expX[:c.m])
-	if !finiteVec(delta) {
-		return nil, false
-	}
-	for i := range newRates {
-		nr := rates[i] + delta[i]
-		nr = math.Max(c.rmin[i], math.Min(c.rmax[i], nr))
-		newRates[i] = nr
-		delta[i] = nr - rates[i]
-	}
-	copy(c.prevDelta, delta)
-	c.f.MulVecTo(pred, delta)
-	for i := range pred {
-		pred[i] = u[i] + pred[i]
-	}
-	c.prevRelaxed = false
-	c.lastRegion = interior
-	c.lastOutcome = SolveExplicit
-	c.lastExplicit = SolveExplicit
-	c.explicitHits++
-	res.OutputConstraintsRelaxed = false
-	res.SolverIterations = iters
-	res.Outcome = SolveExplicit
-	return res, true
-}
-
-// explicitUtilMax bounds the utilization coordinates of the explicit
-// parameter domain. Monitors report busy fractions in [0, 1]; headroom to
-// 2 keeps transient overshoot and fault-injected overload on the map.
-const explicitUtilMax = 2.0
-
-// BuildExplicitProblem describes the controller's per-period QP as a
-// parametric program over θ = (u, r(k−1), Δr(k−1)) for the offline
-// explicit-MPC compiler. The affine maps d(θ) = D·θ + D0 and
-// b(θ) = S·θ + S0 mirror fillLeastSquaresRHS and fillConstraintRHS row
-// for row; the domain box spans [0, explicitUtilMax] per utilization, the
-// actuator box per rate, and the widest admissible move per Δr(k−1).
-//
-// The current set points are baked into D0 and S0: a law compiled from
-// this problem is invalidated by UpdateSetPoints.
-func (c *Controller) BuildExplicitProblem() *empc.Problem {
-	p, mh := c.cfg.PredictionHorizon, c.cfg.ControlHorizon
-	nTheta := c.n + 2*c.m
-	ell := c.cmat.Rows()
-	dm := mat.New(ell, nTheta)
-	d0 := make([]float64, ell)
-	// Tracking rows: d = √q_r·λ_i·(B_r − u_r).
-	for i := 1; i <= p; i++ {
-		rowBase := (i - 1) * c.n
-		for r := 0; r < c.n; r++ {
-			dm.Set(rowBase+r, r, -c.sqrtQ[r]*c.lam[i])
-			d0[rowBase+r] = c.sqrtQ[r] * c.lam[i] * c.setPoints[r]
-		}
-	}
-	// First control-penalty block: d = √R_j·Δr_j(k−1); later blocks zero.
-	base := c.n * p
-	for j := 0; j < c.m; j++ {
-		dm.Set(base+j, c.n+c.m+j, c.sqrtR[j])
-	}
-	mc := c.aFull.Rows()
-	sm := mat.New(mc, nTheta)
-	s0 := make([]float64, mc)
-	// Rate box rows: b_up = Rmax_j − r_j, b_lo = r_j − Rmin_j.
-	for i := 0; i < mh; i++ {
-		for j := 0; j < c.m; j++ {
-			up := 2 * (i*c.m + j)
-			sm.Set(up, c.n+j, -1)
-			s0[up] = c.rmax[j]
-			sm.Set(up+1, c.n+j, 1)
-			s0[up+1] = -c.rmin[j]
-		}
-	}
-	// Output rows: b = B_r − u_r.
-	if !c.cfg.DisableOutputConstraints {
-		obase := 2 * c.m * mh
-		for i := 1; i <= p; i++ {
-			for r := 0; r < c.n; r++ {
-				sm.Set(obase+(i-1)*c.n+r, r, -1)
-				s0[obase+(i-1)*c.n+r] = c.setPoints[r]
-			}
-		}
-	}
-	lo := make([]float64, nTheta)
-	hi := make([]float64, nTheta)
-	for r := 0; r < c.n; r++ {
-		lo[r], hi[r] = 0, explicitUtilMax
-	}
-	for j := 0; j < c.m; j++ {
-		lo[c.n+j], hi[c.n+j] = c.rmin[j], c.rmax[j]
-		span := c.rmax[j] - c.rmin[j]
-		lo[c.n+c.m+j], hi[c.n+c.m+j] = -span, span
-	}
-	return &empc.Problem{
-		C: c.cmat.Clone(), A: c.aFull.Clone(),
-		D: dm, D0: d0, S: sm, S0: s0,
-		ThetaLo: lo, ThetaHi: hi,
-		GainRows: c.m,
-	}
-}
-
-// CompileExplicit compiles the controller's parametric program into a
-// piecewise-affine law offline and attaches it, returning the compile
-// report. The compile fans region exploration across opts.Workers
-// goroutines; the resulting law and its digest are identical for every
-// worker count.
-func (c *Controller) CompileExplicit(opts empc.Options) (*empc.Report, error) {
-	law, rep, err := empc.Compile(c.BuildExplicitProblem(), opts)
-	if err != nil {
-		return nil, fmt.Errorf("mpc: compile explicit law: %w", err)
-	}
-	if err := c.AttachExplicit(law); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// AttachExplicit installs an offline-compiled explicit law; nil detaches.
-// The law must have been compiled from this controller's
-// BuildExplicitProblem (same dimensions and an interior region). The
-// fast-path buffers are allocated here so Step performs no allocation on
-// explicit hits.
-func (c *Controller) AttachExplicit(law *empc.Law) error {
-	if law == nil {
-		c.law = nil
-		c.lastExplicit = SolveOK
-		return nil
-	}
-	if got, want := law.NumTheta(), c.n+2*c.m; got != want {
-		return fmt.Errorf("mpc: explicit law parameter dimension %d, want %d", got, want)
-	}
-	if got := law.GainRows(); got != c.m {
-		return fmt.Errorf("mpc: explicit law gain rows %d, want %d", got, c.m)
-	}
-	if law.InteriorIndex() < 0 {
-		return errors.New("mpc: explicit law has no interior region")
-	}
-	c.law = law
-	c.lastRegion = law.InteriorIndex()
-	c.lastExplicit = SolveOK
-	if c.theta == nil {
-		c.theta = make([]float64, c.n+2*c.m)
-		c.expX = make([]float64, c.m*c.cfg.ControlHorizon)
-		c.expRes = StepResult{
-			DeltaR:        make([]float64, c.m),
-			NewRates:      make([]float64, c.m),
-			PredictedUtil: make([]float64, c.n),
-		}
-	}
-	return nil
 }
 
 // finite reports whether v is neither NaN nor infinite.

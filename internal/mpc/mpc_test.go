@@ -99,14 +99,23 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestStepDimensionErrors(t *testing.T) {
-	c := simpleController(t, defaultSimpleConfig())
-	if _, err := c.Step([]float64{0.5}, []float64{0.01, 0.01, 0.01}); err == nil {
-		t.Error("short utilization vector accepted")
+// step runs StepTo into a fresh StepResult, so a test may keep results
+// across steps and feed one step's NewRates into the next.
+func step(c *Controller, u, rates []float64) (*StepResult, error) {
+	out := c.NewStepResult()
+	if err := c.StepTo(out, u, rates); err != nil {
+		return nil, err
 	}
-	if _, err := c.Step([]float64{0.5, 0.5}, []float64{0.01}); err == nil {
-		t.Error("short rate vector accepted")
+	return out, nil
+}
+
+// stepReference is a step without the interior fast path: validation and
+// anti-windup, then the full solve-plus-ladder.
+func stepReference(c *Controller, u, rates []float64) (*StepResult, error) {
+	if err := c.pre(u, rates); err != nil {
+		return nil, err
 	}
+	return c.stepSolve(u, rates), nil
 }
 
 // stepPlant advances the "real" plant u(k+1) = u(k) + G·F·Δr(k).
@@ -124,7 +133,7 @@ func runClosedLoop(t *testing.T, c *Controller, f *mat.Dense, g []float64, u0, r
 	u = mat.VecClone(u0)
 	rates = mat.VecClone(r0)
 	for k := 0; k < steps; k++ {
-		res, err := c.Step(u, rates)
+		res, err := step(c, u, rates)
 		if err != nil {
 			t.Fatalf("step %d: %v", k, err)
 		}
@@ -191,7 +200,7 @@ func TestUtilizationNeverExceedsSetPointOnModel(t *testing.T) {
 	u := f.MulVec([]float64{1.0 / 60, 1.0 / 90, 1.0 / 100})
 	rates := []float64{1.0 / 60, 1.0 / 90, 1.0 / 100}
 	for k := 0; k < 80; k++ {
-		res, err := c.Step(u, rates)
+		res, err := step(c, u, rates)
 		if err != nil {
 			t.Fatalf("step %d: %v", k, err)
 		}
@@ -231,7 +240,7 @@ func TestOverloadRelaxesOutputConstraints(t *testing.T) {
 	// rather than fail, and must not push rates further down than R_min.
 	c := simpleController(t, defaultSimpleConfig())
 	rmin := []float64{1.0 / 700, 1.0 / 700, 1.0 / 900}
-	res, err := c.Step([]float64{1.0, 1.0}, rmin)
+	res, err := step(c, []float64{1.0, 1.0}, rmin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +271,7 @@ func TestOverloadRecovery(t *testing.T) {
 }
 
 func TestGainsMatchUnconstrainedStep(t *testing.T) {
-	// In the interior of the feasible region, Step must equal the linear
+	// In the interior of the feasible region, a step must equal the linear
 	// feedback law Δr = K_e·(B − u) + K_d·Δr(k−1).
 	c := simpleController(t, defaultSimpleConfig())
 	ke, kd, err := c.Gains()
@@ -271,14 +280,14 @@ func TestGainsMatchUnconstrainedStep(t *testing.T) {
 	}
 	u := []float64{0.70, 0.75}
 	rates := []float64{1.0 / 100, 1.0 / 100, 1.0 / 100}
-	res, err := c.Step(u, rates)
+	res, err := step(c, u, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ke.MulVec(mat.VecSub([]float64{0.828, 0.828}, u)) // prevDelta = 0
 	_ = kd
 	if !mat.VecEqual(res.DeltaR, want, 1e-5) {
-		t.Fatalf("Step Δr = %v, gains predict %v", res.DeltaR, want)
+		t.Fatalf("step Δr = %v, gains predict %v", res.DeltaR, want)
 	}
 }
 
@@ -290,12 +299,12 @@ func TestGainsIncludePreviousMove(t *testing.T) {
 	}
 	u := []float64{0.70, 0.75}
 	rates := []float64{1.0 / 100, 1.0 / 100, 1.0 / 100}
-	res1, err := c.Step(u, rates)
+	res1, err := step(c, u, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
 	u2 := []float64{0.72, 0.76}
-	res2, err := c.Step(u2, res1.NewRates)
+	res2, err := step(c, u2, res1.NewRates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +313,7 @@ func TestGainsIncludePreviousMove(t *testing.T) {
 		kd.MulVec(res1.DeltaR),
 	)
 	if !mat.VecEqual(res2.DeltaR, want, 1e-5) {
-		t.Fatalf("second Step Δr = %v, gains predict %v", res2.DeltaR, want)
+		t.Fatalf("second step Δr = %v, gains predict %v", res2.DeltaR, want)
 	}
 }
 
@@ -312,12 +321,12 @@ func TestResetClearsPreviousMove(t *testing.T) {
 	c := simpleController(t, defaultSimpleConfig())
 	u := []float64{0.7, 0.7}
 	rates := []float64{1.0 / 100, 1.0 / 100, 1.0 / 100}
-	res1, err := c.Step(u, rates)
+	res1, err := step(c, u, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Reset()
-	res2, err := c.Step(u, rates)
+	res2, err := step(c, u, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +406,7 @@ func TestQWeightsShiftPriority(t *testing.T) {
 	rates := []float64{1e-3, 1e-3, 1e-3}
 	u := f.MulVec(rates)
 	for k := 0; k < 120; k++ {
-		res, err := c.Step(u, rates)
+		res, err := step(c, u, rates)
 		if err != nil {
 			t.Fatalf("step %d: %v", k, err)
 		}
@@ -410,14 +419,14 @@ func TestQWeightsShiftPriority(t *testing.T) {
 }
 
 // TestAntiWindupHealthyNoSync pins the bit-identity claim behind the
-// always-on anti-windup: feeding each Step the exact rates the previous
-// Step commanded must never count a sync or change the control sequence.
+// always-on anti-windup: feeding each step the exact rates the previous
+// step commanded must never count a sync or change the control sequence.
 func TestAntiWindupHealthyNoSync(t *testing.T) {
 	c := simpleController(t, defaultSimpleConfig())
 	rates := []float64{1.0 / 350, 1.0 / 350, 1.0 / 450}
 	u := []float64{0.5, 0.6}
 	for k := 0; k < 20; k++ {
-		res, err := c.Step(u, rates)
+		res, err := step(c, u, rates)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,7 +447,7 @@ func TestAntiWindupReconcilesStuckActuator(t *testing.T) {
 	u := []float64{0.5, 0.6} // below set points: the MPC wants rate increases
 	var lastCmd []float64
 	for k := 0; k < 5; k++ {
-		res, err := c.Step(u, frozen)
+		res, err := step(c, u, frozen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,11 +468,11 @@ func TestAntiWindupReconcilesStuckActuator(t *testing.T) {
 	// With the plant frozen, reconciliation pins the pre-step move memory
 	// at zero, so every period solves the same problem: the command must be
 	// periodic, not a ratcheting accumulation.
-	res1, err := c.Step(u, frozen)
+	res1, err := step(c, u, frozen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := c.Step(u, frozen)
+	res2, err := step(c, u, frozen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,9 +492,9 @@ func TestAntiWindupReconcilesStuckActuator(t *testing.T) {
 // TestStepToMatchesStepBitwise drives two identical controllers through
 // the same closed-loop-ish sequence — steady-state interior steps,
 // overload periods that relax constraints, saturating moves, and a NaN
-// measurement — and requires StepTo to reproduce Step bit for bit: same
-// results, same outcomes, same internal counters. The interior fast path
-// must be undetectable from the outputs.
+// measurement — and requires StepTo to reproduce the full solve-plus-ladder
+// (stepReference) bit for bit: same results, same outcomes, same internal
+// counters. The interior fast path must be undetectable from the outputs.
 func TestStepToMatchesStepBitwise(t *testing.T) {
 	cs := simpleController(t, defaultSimpleConfig())
 	ct := simpleController(t, defaultSimpleConfig())
@@ -500,22 +509,22 @@ func TestStepToMatchesStepBitwise(t *testing.T) {
 	}
 	sawInterior := false
 	for k, u := range seq {
-		res, err := cs.Step(u, rates)
+		res, err := stepReference(cs, u, rates)
 		if err != nil {
-			t.Fatalf("period %d: Step: %v", k, err)
+			t.Fatalf("period %d: reference: %v", k, err)
 		}
 		if err := ct.StepTo(out, u, ratesTo); err != nil {
 			t.Fatalf("period %d: StepTo: %v", k, err)
 		}
 		if out.Outcome != res.Outcome || out.OutputConstraintsRelaxed != res.OutputConstraintsRelaxed ||
 			out.SolverIterations != res.SolverIterations {
-			t.Fatalf("period %d: StepTo outcome (%v,%v,%d) != Step (%v,%v,%d)", k,
+			t.Fatalf("period %d: StepTo outcome (%v,%v,%d) != reference (%v,%v,%d)", k,
 				out.Outcome, out.OutputConstraintsRelaxed, out.SolverIterations,
 				res.Outcome, res.OutputConstraintsRelaxed, res.SolverIterations)
 		}
 		for i := range res.NewRates {
 			if out.NewRates[i] != res.NewRates[i] || out.DeltaR[i] != res.DeltaR[i] {
-				t.Fatalf("period %d task %d: StepTo rate %v Δ %v, Step rate %v Δ %v (must be bit-identical)",
+				t.Fatalf("period %d task %d: StepTo rate %v Δ %v, reference rate %v Δ %v (must be bit-identical)",
 					k, i, out.NewRates[i], out.DeltaR[i], res.NewRates[i], res.DeltaR[i])
 			}
 		}
@@ -536,14 +545,14 @@ func TestStepToMatchesStepBitwise(t *testing.T) {
 	sb, sr, sh := cs.ContainmentCounts()
 	tb, tr, th := ct.ContainmentCounts()
 	if sb != tb || sr != tr || sh != th {
-		t.Errorf("containment counters diverge: Step (%d,%d,%d) StepTo (%d,%d,%d)", sb, sr, sh, tb, tr, th)
+		t.Errorf("containment counters diverge: reference (%d,%d,%d) StepTo (%d,%d,%d)", sb, sr, sh, tb, tr, th)
 	}
 	if cs.AntiWindupSyncs() != ct.AntiWindupSyncs() {
 		t.Errorf("anti-windup syncs diverge: %d vs %d", cs.AntiWindupSyncs(), ct.AntiWindupSyncs())
 	}
 }
 
-// TestStepToDimensionErrors: StepTo validates like Step.
+// TestStepToDimensionErrors: StepTo rejects wrongly sized vectors.
 func TestStepToDimensionErrors(t *testing.T) {
 	c := simpleController(t, defaultSimpleConfig())
 	out := c.NewStepResult()

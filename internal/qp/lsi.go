@@ -38,7 +38,7 @@ type LSI struct {
 	opts  Options
 
 	// Scratch for SolveInteriorTo, sized once at construction so the
-	// explicit-MPC fast path performs zero allocations.
+	// interior fast path of mpc.StepTo performs zero allocations.
 	ix, ig, ihg, ip []float64
 }
 
@@ -142,8 +142,8 @@ func (s *LSI) Structured() (banded bool, bandwidth int) {
 // starting point x0 = 0: the solve that the active-set loop would complete
 // with an empty working set in one unblocked Newton step (plus the
 // confirming stationarity iteration). This is the steady-state case of the
-// EUCON controller — no rate bound or output constraint active — and the
-// critical region the explicit-MPC law (internal/empc) dispatches here.
+// EUCON controller — no rate bound or output constraint active — which
+// mpc.StepTo dispatches here.
 //
 // When it reports ok, x holds bit-for-bit the iterate that
 // Solve(d, a, b, 0) would have returned in Result.X, iters the iteration

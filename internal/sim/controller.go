@@ -3,11 +3,11 @@ package sim
 // Controller is the unified rate-controller interface: everything the
 // simulator and the experiment harnesses need from a controller, with no
 // per-type wiring. Implementations include the EUCON MPC controller
-// (package core, iterative or explicit), the DEUCON decentralized
+// (package core), the DEUCON decentralized
 // extension, and the OPEN, PID, and FixedRates baselines.
 //
 // Optional capabilities are separate interfaces the harnesses probe for:
-// DegradationReporter, ContainmentReporter, and ExplicitReporter.
+// DegradationReporter and ContainmentReporter.
 type Controller interface {
 	// Name identifies the controller in traces.
 	Name() string
@@ -25,11 +25,6 @@ type Controller interface {
 	// set-point notion (open-loop baselines).
 	SetPoints() []float64
 }
-
-// RateController is the pre-interface name of Controller.
-//
-// Deprecated: use Controller.
-type RateController = Controller
 
 // DegradationReporter is an optional interface a Controller can
 // implement to expose which graceful-degradation policy fired during its
@@ -54,16 +49,6 @@ type ContainmentReporter interface {
 	// or Reset were resolved below the nominal solve paths: best-iterate
 	// acceptances, Tikhonov-regularized re-solves, and held periods.
 	ContainmentCounts() (bestIterate, regularized, held int)
-}
-
-// ExplicitReporter is an optional interface a Controller can implement to
-// expose explicit-MPC fast-path accounting: how many control steps were
-// resolved by the offline-compiled piecewise-affine law versus fell back
-// to the iterative solver.
-type ExplicitReporter interface {
-	// ExplicitCounts reports fast-path hits and fallback misses since
-	// construction or Reset. Both are zero when no explicit law is in use.
-	ExplicitCounts() (hits, misses int)
 }
 
 // FixedRates is a Controller that never changes rates (pure open loop

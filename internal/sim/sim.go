@@ -44,7 +44,7 @@ type Config struct {
 	Periods int
 	// Controller adjusts task rates at each sampling boundary; nil keeps
 	// the initial rates for the whole run.
-	Controller RateController
+	Controller Controller
 	// ETF is the execution-time factor schedule (zero value: etf = 1).
 	ETF ETFSchedule
 	// Jitter, in [0, 1), draws each job's execution time uniformly from
@@ -172,12 +172,6 @@ type Stats struct {
 	// ContainmentReporter; the counts are cumulative since the controller's
 	// construction or last Reset.
 	ContainmentBestIterate, ContainmentRegularized, ContainmentHeld int
-	// ExplicitHits and ExplicitMisses mirror the controller's explicit-MPC
-	// fast-path counters as of the end of the run: control steps resolved
-	// by the offline-compiled piecewise-affine law versus fallen back to
-	// the iterative solver. Populated only when the controller implements
-	// ExplicitReporter; both stay zero without an explicit law.
-	ExplicitHits, ExplicitMisses int
 }
 
 // PeriodStats are the per-sampling-period counters behind the aggregate
@@ -519,9 +513,6 @@ func (s *Simulator) RunContext(ctx context.Context) (*Trace, error) {
 	}
 	if cr, ok := s.cfg.Controller.(ContainmentReporter); ok {
 		s.trace.Stats.ContainmentBestIterate, s.trace.Stats.ContainmentRegularized, s.trace.Stats.ContainmentHeld = cr.ContainmentCounts()
-	}
-	if er, ok := s.cfg.Controller.(ExplicitReporter); ok {
-		s.trace.Stats.ExplicitHits, s.trace.Stats.ExplicitMisses = er.ExplicitCounts()
 	}
 	return &s.trace, nil
 }

@@ -1,9 +1,6 @@
 package eucon
 
-import (
-	"github.com/rtsyslab/eucon/internal/core"
-	"github.com/rtsyslab/eucon/internal/empc"
-)
+import "github.com/rtsyslab/eucon/internal/core"
 
 // ControllerOption is a functional option for NewControllerOpts. Options
 // compose left to right over the zero ControllerConfig (the paper's SIMPLE
@@ -57,19 +54,6 @@ func WithoutOutputConstraints() ControllerOption {
 	return func(c *ControllerConfig) { c.DisableOutputConstraints = true }
 }
 
-// WithExplicit compiles the controller's parametric QP into an offline
-// piecewise-affine law at construction: control steps whose query lands on
-// the precomputed map skip the iterative QP solve while producing
-// bit-identical rates; steps off the map fall back to the iterative solver
-// (see MPCController.ExplicitCounts and ExplicitReport). maxRegions caps
-// the offline region enumeration; 0 selects the default.
-func WithExplicit(maxRegions int) ControllerOption {
-	return func(c *ControllerConfig) {
-		c.Explicit = true
-		c.ExplicitMaxRegions = maxRegions
-	}
-}
-
 // WithRateBox overrides the per-task actuator rate bounds the system
 // declares. Either slice may be nil to keep the system's bound on that
 // side; a non-nil slice needs one entry per task.
@@ -85,7 +69,7 @@ func WithRateBox(rmin, rmax []float64) ControllerOption {
 //
 //	ctrl, err := eucon.NewControllerOpts(sys, nil,
 //		eucon.WithHorizons(4, 2),
-//		eucon.WithExplicit(0),
+//		eucon.WithMeasurementFilter(0.3),
 //	)
 //
 // Nil setPoints select each processor's Liu–Layland schedulable bound. An
@@ -97,7 +81,3 @@ func NewControllerOpts(sys *System, setPoints []float64, opts ...ControllerOptio
 	}
 	return core.New(sys, setPoints, cfg)
 }
-
-// ExplicitCompileReport is the offline-compile report of an explicit MPC
-// law: region and exploration counts plus the deterministic build digest.
-type ExplicitCompileReport = empc.Report

@@ -19,7 +19,7 @@ date="$(date +%Y-%m-%d)"
 out="${1:-BENCH_${date}.json}"
 benchtime="${BENCHTIME:-10x}"
 
-benches='BenchmarkSimulatorMedium$|BenchmarkSimulatorSteadyState$|BenchmarkSimulatorFaultedSteadyState$|BenchmarkFig4SimpleSweep$|BenchmarkFig4SimpleSweepSerial$|BenchmarkControllerStepMedium$|BenchmarkControllerStepExplicitMedium$|BenchmarkDeuconLocalStep$|BenchmarkControllerStepLarge128$|BenchmarkControllerStepLarge128Dense$|BenchmarkDeuconLocalStepLarge128$|BenchmarkDeuconLocalStepLarge1024$'
+benches='BenchmarkSimulatorMedium$|BenchmarkSimulatorSteadyState$|BenchmarkSimulatorFaultedSteadyState$|BenchmarkFig4SimpleSweep$|BenchmarkFig4SimpleSweepSerial$|BenchmarkControllerStepMedium$|BenchmarkDeuconLocalStep$|BenchmarkControllerStepLarge128$|BenchmarkControllerStepLarge128Dense$|BenchmarkDeuconLocalStepLarge128$|BenchmarkDeuconLocalStepLarge1024$'
 
 # The LARGE Figure-4 sweeps run full 120-period closed loops per iteration
 # (~2 s at 128 processors, ~25 s at 1024), so they get one iteration each:
@@ -58,12 +58,6 @@ go run ./cmd/euconsim -faults proc2-crash-recover -fault-digest |
 go run ./cmd/euconsim -workload large128 |
 	sed "s/^{/{\"date\":\"${date}\",/" >>"$out"
 go run ./cmd/euconsim -workload large1024 |
-	sed "s/^{/{\"date\":\"${date}\",/" >>"$out"
-
-# Explicit-MPC offline compile: region counts, build digest, and wall time
-# per workload, so a compiler regression (slower build, different table)
-# shows up in the trend record.
-go run ./cmd/euconsim -explicit-report |
 	sed "s/^{/{\"date\":\"${date}\",/" >>"$out"
 
 # Chaos smoke wall time: how long the 25-scenario CI campaign takes, so a

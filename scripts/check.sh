@@ -1,8 +1,9 @@
 #!/bin/sh
 # Tier-1 check: gofmt -s, vet, euconlint, build, race-enabled tests,
-# benchmark smoke, the steady-state zero-allocation gates (simulator,
-# explicit MPC, and the localized DEUCON step at 128 processors), the
-# sweep/fault/LARGE-workload digest diffs against scripts/golden/, and the
+# benchmark smoke, the steady-state zero-allocation gates (simulator, the
+# interior MPC step on MEDIUM, and the localized DEUCON step at 128
+# processors), the sweep/fault/LARGE-workload digest diffs against
+# scripts/golden/, and the
 # chaos smoke campaigns (25 seeded fault storms on SIMPLE, 6 localized
 # fault storms at 128 processors, and 2 partition scenarios against a real
 # 8-agent TCP fleet, every robustness invariant enforced), and the
@@ -50,16 +51,16 @@ if [ "$allocs" != "0" ]; then
 	exit 1
 fi
 
-echo "==> explicit-MPC allocation gate (BenchmarkControllerStepExplicitMedium)"
-exp_out=$(go test -run '^$' -bench 'BenchmarkControllerStepExplicitMedium$' -benchmem -benchtime 5x .)
-echo "$exp_out"
-exp_allocs=$(echo "$exp_out" | awk '/BenchmarkControllerStepExplicitMedium/ {print $(NF-1)}')
-if [ -z "$exp_allocs" ]; then
-	echo "FAIL: BenchmarkControllerStepExplicitMedium did not run; the explicit-step allocation gate has no teeth"
+echo "==> interior MPC step allocation gate (BenchmarkControllerStepMedium)"
+step_out=$(go test -run '^$' -bench 'BenchmarkControllerStepMedium$' -benchmem -benchtime 5x .)
+echo "$step_out"
+step_allocs=$(echo "$step_out" | awk '/BenchmarkControllerStepMedium/ {print $(NF-1)}')
+if [ -z "$step_allocs" ]; then
+	echo "FAIL: BenchmarkControllerStepMedium did not run; the interior-step allocation gate has no teeth"
 	exit 1
 fi
-if [ "$exp_allocs" != "0" ]; then
-	echo "FAIL: BenchmarkControllerStepExplicitMedium reports $exp_allocs allocs/op; the explicit fast path must not allocate"
+if [ "$step_allocs" != "0" ]; then
+	echo "FAIL: BenchmarkControllerStepMedium reports $step_allocs allocs/op; the interior MPC step (mpc.StepTo fast path) must not allocate"
 	exit 1
 fi
 
@@ -75,19 +76,6 @@ if [ "$loc_allocs" != "0" ]; then
 	echo "FAIL: BenchmarkDeuconLocalStepLarge128 reports $loc_allocs allocs/op; the localized per-processor step must not allocate in steady state"
 	exit 1
 fi
-
-echo "==> explicit-MPC compile determinism (two compiles, identical digests)"
-exp_rep_a=$(go run ./cmd/euconsim -explicit-report)
-exp_rep_b=$(go run ./cmd/euconsim -explicit-report)
-digests_a=$(echo "$exp_rep_a" | sed 's/.*"digest":"\([^"]*\)".*/\1/')
-digests_b=$(echo "$exp_rep_b" | sed 's/.*"digest":"\([^"]*\)".*/\1/')
-if [ -z "$digests_a" ] || [ "$digests_a" != "$digests_b" ]; then
-	echo "FAIL: explicit region-table build digests differ across compiles:"
-	echo "$exp_rep_a"
-	echo "$exp_rep_b"
-	exit 1
-fi
-echo "$exp_rep_a"
 
 echo "==> fault scenario digest vs scripts/golden/ (proc2-crash-recover)"
 scratch=$(mktemp)
