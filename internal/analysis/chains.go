@@ -9,8 +9,10 @@ import (
 
 // chainRoots pins the entry points of the benchmark-gated allocation-free
 // hot paths: the simulator's steady-state event handlers (measured by
-// BenchmarkSimulatorSteadyState at 0 allocs/op) and the localized DEUCON
-// per-processor step (BenchmarkDeuconLocalStepLarge128). The noalloc
+// BenchmarkSimulatorSteadyState at 0 allocs/op), the localized DEUCON
+// per-processor step (BenchmarkDeuconLocalStepLarge128 and ...Large1024),
+// and the reused constrained least-squares solve (BenchmarkQPSolverReused).
+// The noalloc
 // analyzer requires each root to exist and carry //eucon:noalloc; the
 // interprocedural proof then covers everything the roots reach, so the
 // runtime allocation gates in scripts/check.sh have a static counterpart.
@@ -23,6 +25,7 @@ var chainRoots = []struct {
 	{"internal/sim", "Simulator.handleCompletion", "BenchmarkSimulatorSteadyState"},
 	{"internal/sim", "Simulator.handleSampling", "BenchmarkSimulatorSteadyState"},
 	{"internal/deucon", "Controller.stepLocal", "BenchmarkDeuconLocalStepLarge128"},
+	{"internal/qp", "LSI.Solve", "BenchmarkQPSolverReused"},
 }
 
 // checkChainRoots verifies the declared chain roots of the analyzed

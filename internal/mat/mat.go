@@ -109,9 +109,26 @@ func (m *Dense) Set(i, j int, v float64) {
 
 //eucon:noalloc
 func (m *Dense) checkIndex(i, j int) {
-	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: index (%d,%d) out of bounds for %dx%d matrix", i, j, m.rows, m.cols)) //eucon:alloc-ok panic path only; the hot path never formats
+	// The uint comparisons fold the negative-index checks into the
+	// upper-bound ones (dimensions are never negative), and the panic value
+	// formats its message only when printed: together they keep
+	// checkIndex, At and Set within the compiler's inlining budget.
+	if uint(i) >= uint(m.rows) || uint(j) >= uint(m.cols) {
+		panic(indexError{i, j, m.rows, m.cols}) //eucon:alloc-ok panic path only; the hot path never boxes
 	}
+}
+
+// reuse reshapes m to a zero-filled r×c matrix, keeping its storage when
+// the capacity allows.
+//
+//eucon:noalloc
+func (m *Dense) reuse(r, c int) {
+	if cap(m.data) < r*c {
+		m.data = make([]float64, r*c) //eucon:alloc-ok grows only past the largest shape seen so far
+	}
+	m.rows, m.cols = r, c
+	m.data = m.data[:r*c]
+	clear(m.data)
 }
 
 // Clone returns a deep copy of m.
@@ -390,4 +407,12 @@ func (m *Dense) String() string {
 	}
 	sb.WriteByte(']')
 	return sb.String()
+}
+
+// indexError is checkIndex's panic value. Its message is formatted by
+// Error, out of line, so the accessors' inlined guard stays small.
+type indexError struct{ i, j, rows, cols int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("mat: index (%d,%d) out of bounds for %dx%d matrix", e.i, e.j, e.rows, e.cols)
 }

@@ -430,17 +430,21 @@ func (c *Controller) pre(u, rates []float64) error {
 }
 
 // stepSolve is everything in a step after validation and anti-windup: the
-// iterative solve and the degradation ladder. It never fails — every
-// numerical outcome maps to a ladder rung. StepTo falls back to it off the
-// interior fast path, and tests use pre + stepSolve as the reference that
-// the fast path must reproduce bit for bit.
-func (c *Controller) stepSolve(u, rates []float64) *StepResult {
+// iterative solve and the degradation ladder, writing into out (whose
+// slices sizeStepResult has sized). It never fails — every numerical
+// outcome maps to a ladder rung. StepTo falls back to it off the interior
+// fast path, and tests use pre + stepSolve as the reference that the fast
+// path must reproduce bit for bit.
+//
+//eucon:noalloc
+func (c *Controller) stepSolve(out *StepResult, u, rates []float64) {
 	for _, v := range u {
 		if !finite(v) {
 			// A NaN/Inf measurement reached the solver layer (the EUCON
 			// controller's hold-last policy normally substitutes upstream):
 			// no trustworthy solve is possible, so hold the applied rates.
-			return c.holdStep(u, rates)
+			c.holdStep(out, u, rates)
+			return
 		}
 	}
 	c.fillLeastSquaresRHS(u, c.dbuf)
@@ -477,7 +481,7 @@ func (c *Controller) stepSolve(u, rates []float64) *StepResult {
 		c.lsi.ResetWarmStart()
 	}
 	res, err := c.lsi.Solve(c.dbuf, a, b, z0)
-	if err != nil && errors.Is(err, qp.ErrInfeasible) && !relaxed && !c.cfg.DisableOutputConstraints {
+	if err != nil && !relaxed && !c.cfg.DisableOutputConstraints && errors.Is(err, qp.ErrInfeasible) { //eucon:alloc-ok errors.Is walks the wrap chain without allocating; reached only when the solve failed
 		// Belt and braces: fall back to the always-feasible rate box.
 		relaxed = true
 		a, b = c.aBox, c.bBox
@@ -498,8 +502,10 @@ func (c *Controller) stepSolve(u, rates []float64) *StepResult {
 		// solve still carries its best iterate, which is feasible by
 		// construction (the active-set method never leaves the feasible
 		// region); accept it when it is finite and nearly stationary.
+		// An iteration-capped Result is exactly the one that travels with
+		// qp.ErrMaxIterations; every other failure returns no Result.
 		accepted := false
-		if errors.Is(err, qp.ErrMaxIterations) && res != nil &&
+		if res != nil && res.Status == qp.StatusIterationCapped &&
 			res.Stationarity <= bestIterateResidualBound && finiteVec(res.X) {
 			outcome = SolveBestIterate
 			c.bestIterates++
@@ -518,7 +524,7 @@ func (c *Controller) stepSolve(u, rates []float64) *StepResult {
 			}
 			regRes, regErr := c.lsiReg.Solve(c.dregBuf, c.aBox, c.bBox, z0)
 			usable := regRes != nil && finiteVec(regRes.X) &&
-				(regErr == nil || (errors.Is(regErr, qp.ErrMaxIterations) && regRes.Stationarity <= bestIterateResidualBound))
+				(regErr == nil || (regRes.Status == qp.StatusIterationCapped && regRes.Stationarity <= bestIterateResidualBound))
 			if usable {
 				res = regRes
 				outcome = SolveRegularized
@@ -532,17 +538,20 @@ func (c *Controller) stepSolve(u, rates []float64) *StepResult {
 		}
 		// Rung 3: hold the applied rates.
 		if !accepted {
-			return c.holdStep(u, rates)
+			c.holdStep(out, u, rates)
+			return
 		}
 	}
 
-	delta := mat.VecClone(res.X[:c.m])
+	delta := out.DeltaR
+	copy(delta, res.X[:c.m])
 	if !finiteVec(delta) {
 		// Belt and braces: a converged solve can still carry non-finite
 		// values if the inputs were poisoned. Holding is the only safe move.
-		return c.holdStep(u, rates)
+		c.holdStep(out, u, rates)
+		return
 	}
-	newRates := make([]float64, c.m)
+	newRates := out.NewRates
 	for i := range newRates {
 		nr := rates[i] + delta[i]
 		// Guard against solver tolerance drift outside the box.
@@ -552,14 +561,10 @@ func (c *Controller) stepSolve(u, rates []float64) *StepResult {
 	}
 	copy(c.prevDelta, delta)
 	c.lastOutcome = outcome
-	return &StepResult{
-		DeltaR:                   delta,
-		NewRates:                 newRates,
-		PredictedUtil:            mat.VecAdd(u, c.f.MulVec(delta)),
-		OutputConstraintsRelaxed: relaxed || outcome == SolveRegularized,
-		SolverIterations:         res.Iterations,
-		Outcome:                  outcome,
-	}
+	c.predict(out.PredictedUtil, u, delta)
+	out.OutputConstraintsRelaxed = relaxed || outcome == SolveRegularized
+	out.SolverIterations = res.Iterations
+	out.Outcome = outcome
 }
 
 // NewStepResult allocates a StepResult whose slices are sized for this
@@ -590,20 +595,52 @@ func (c *Controller) NewStepResult() *StepResult {
 // interior fast path, which reproduces the iterative solve's arithmetic bit
 // for bit (the qp.LSI.SolveInteriorTo guards are exactly the conditions
 // under which the iterative solve completes in one unblocked Newton step
-// from Δr = 0). Off the fast path, StepTo runs the full solve-plus-ladder
-// and copies its result.
+// from Δr = 0). Off the fast path, StepTo runs the full solve-plus-ladder,
+// writing into out as well. Once the first constrained solve has sized the
+// solver's workspace, neither path allocates.
 //
 //eucon:noalloc
 func (c *Controller) StepTo(out *StepResult, u, rates []float64) error {
 	if err := c.pre(u, rates); err != nil {
 		return err
 	}
+	c.sizeStepResult(out)
 	if c.stepInteriorTo(out, u, rates) {
 		return nil
 	}
-	res := c.stepSolve(u, rates) //eucon:alloc-ok off the steady-state fast path the full degradation ladder allocates its result
-	copyStepResultInto(out, res)
+	c.stepSolve(out, u, rates)
 	return nil
+}
+
+// sizeStepResult reslices out's vectors to the controller's dimensions,
+// growing them only when the caller under-provisioned their capacity
+// (NewStepResult never does).
+//
+//eucon:noalloc
+func (c *Controller) sizeStepResult(out *StepResult) {
+	if cap(out.DeltaR) < c.m {
+		out.DeltaR = make([]float64, c.m) //eucon:alloc-ok grows only when the caller under-provisions capacity
+	}
+	if cap(out.NewRates) < c.m {
+		out.NewRates = make([]float64, c.m) //eucon:alloc-ok grows only when the caller under-provisions capacity
+	}
+	if cap(out.PredictedUtil) < c.n {
+		out.PredictedUtil = make([]float64, c.n) //eucon:alloc-ok grows only when the caller under-provisions capacity
+	}
+	out.DeltaR = out.DeltaR[:c.m]
+	out.NewRates = out.NewRates[:c.m]
+	out.PredictedUtil = out.PredictedUtil[:c.n]
+}
+
+// predict writes the one-step utilization prediction u + F·delta into
+// pred.
+//
+//eucon:noalloc
+func (c *Controller) predict(pred, u, delta []float64) {
+	c.f.MulVecTo(pred, delta)
+	for i := range pred {
+		pred[i] = u[i] + pred[i]
+	}
 }
 
 // stepInteriorTo attempts the interior fast path for StepTo. It reports
@@ -614,9 +651,6 @@ func (c *Controller) StepTo(out *StepResult, u, rates []float64) error {
 //
 //eucon:noalloc
 func (c *Controller) stepInteriorTo(out *StepResult, u, rates []float64) bool {
-	if cap(out.DeltaR) < c.m || cap(out.NewRates) < c.m || cap(out.PredictedUtil) < c.n {
-		return false
-	}
 	for _, v := range u {
 		if !finite(v) {
 			return false
@@ -628,9 +662,8 @@ func (c *Controller) stepInteriorTo(out *StepResult, u, rates []float64) bool {
 	if !ok {
 		return false
 	}
-	delta := out.DeltaR[:c.m]
-	newRates := out.NewRates[:c.m]
-	pred := out.PredictedUtil[:c.n]
+	delta := out.DeltaR
+	newRates := out.NewRates
 	copy(delta, c.fastX[:c.m])
 	if !finiteVec(delta) {
 		return false
@@ -643,32 +676,16 @@ func (c *Controller) stepInteriorTo(out *StepResult, u, rates []float64) bool {
 		delta[i] = nr - rates[i]
 	}
 	copy(c.prevDelta, delta)
-	c.f.MulVecTo(pred, delta)
-	for i := range pred {
-		pred[i] = u[i] + pred[i]
-	}
+	c.predict(out.PredictedUtil, u, delta)
 	// State the full path would leave behind: a non-relaxed converged solve
 	// with an empty active set (SolveInteriorTo already cleared the
 	// warm-start set, matching Solve's empty Result.Active).
 	c.prevRelaxed = false
 	c.lastOutcome = SolveOK
-	out.DeltaR = delta
-	out.NewRates = newRates
-	out.PredictedUtil = pred
 	out.OutputConstraintsRelaxed = false
 	out.SolverIterations = iters
 	out.Outcome = SolveOK
 	return true
-}
-
-// copyStepResultInto copies res into out, reusing out's slice capacity.
-func copyStepResultInto(out, res *StepResult) {
-	out.DeltaR = append(out.DeltaR[:0], res.DeltaR...)
-	out.NewRates = append(out.NewRates[:0], res.NewRates...)
-	out.PredictedUtil = append(out.PredictedUtil[:0], res.PredictedUtil...)
-	out.OutputConstraintsRelaxed = res.OutputConstraintsRelaxed
-	out.SolverIterations = res.SolverIterations
-	out.Outcome = res.Outcome
 }
 
 // holdStep is the bottom rung of the degradation ladder: command Δr = 0,
@@ -676,12 +693,14 @@ func copyStepResultInto(out, res *StepResult) {
 // out-of-range caller vector cannot escape). The zeroed move memory is
 // reconciled against the achieved move by the anti-windup resync at the
 // next step, exactly as for an actuator fault, so holding accumulates no
-// windup.
-func (c *Controller) holdStep(u, rates []float64) *StepResult {
+// windup. It writes into out, whose slices sizeStepResult has sized.
+//
+//eucon:noalloc
+func (c *Controller) holdStep(out *StepResult, u, rates []float64) {
 	c.heldSteps++
 	c.lastOutcome = SolveHeld
-	delta := make([]float64, c.m)
-	newRates := make([]float64, c.m)
+	delta := out.DeltaR
+	newRates := out.NewRates
 	for i := range newRates {
 		nr := rates[i]
 		if !finite(nr) {
@@ -700,14 +719,10 @@ func (c *Controller) holdStep(u, rates []float64) *StepResult {
 	// clear it so the next period starts from a clean working set.
 	c.lsi.ResetWarmStart()
 	c.prevRelaxed = false
-	return &StepResult{
-		DeltaR:                   delta,
-		NewRates:                 newRates,
-		PredictedUtil:            mat.VecAdd(u, c.f.MulVec(delta)),
-		OutputConstraintsRelaxed: false,
-		SolverIterations:         0,
-		Outcome:                  SolveHeld,
-	}
+	c.predict(out.PredictedUtil, u, delta)
+	out.OutputConstraintsRelaxed = false
+	out.SolverIterations = 0
+	out.Outcome = SolveHeld
 }
 
 // finite reports whether v is neither NaN nor infinite.

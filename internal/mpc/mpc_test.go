@@ -115,7 +115,9 @@ func stepReference(c *Controller, u, rates []float64) (*StepResult, error) {
 	if err := c.pre(u, rates); err != nil {
 		return nil, err
 	}
-	return c.stepSolve(u, rates), nil
+	out := c.NewStepResult()
+	c.stepSolve(out, u, rates)
+	return out, nil
 }
 
 // stepPlant advances the "real" plant u(k+1) = u(k) + G·F·Δr(k).

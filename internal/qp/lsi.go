@@ -87,13 +87,21 @@ func NewLSI(c *mat.Dense, opts Options) (*LSI, error) {
 // solve). The constraint matrix may differ between calls; the warm-start
 // active set is only reused when it stays meaningful for the caller's
 // constraint ordering.
+//
+// The returned Result aliases LSI-owned storage, X and Active included:
+// it is valid until this LSI's next Solve, which overwrites it. Copy what
+// must outlive that. In exchange a solve from a feasible start allocates
+// nothing once the first solve has sized the workspace; only the phase-1
+// recovery of an infeasible start allocates.
+//
+//eucon:noalloc
 func (s *LSI) Solve(d []float64, a *mat.Dense, b []float64, x0 []float64) (*Result, error) {
 	n := s.c.Cols()
 	if len(d) != s.c.Rows() {
-		return nil, fmt.Errorf("qp: d has length %d, want %d", len(d), s.c.Rows())
+		return nil, fmt.Errorf("qp: d has length %d, want %d", len(d), s.c.Rows()) //eucon:alloc-ok error path only; the hot path never formats
 	}
 	if len(x0) != n {
-		return nil, fmt.Errorf("qp: x0 has length %d, want %d", len(x0), n)
+		return nil, fmt.Errorf("qp: x0 has length %d, want %d", len(x0), n) //eucon:alloc-ok error path only; the hot path never formats
 	}
 	s.ct.MulVecTo(s.f, d)
 	for i := range s.f {
@@ -102,9 +110,11 @@ func (s *LSI) Solve(d []float64, a *mat.Dense, b []float64, x0 []float64) (*Resu
 	start := s.start
 	copy(start, x0)
 	if a != nil && maxViolation(a, b, start) > 1e-9 {
-		feasible, err := FindFeasible(a, b, start, s.opts)
+		// Phase 1 is the cold path: callers with a feasible start (the MPC
+		// controller always supplies one) never reach it.
+		feasible, err := FindFeasible(a, b, start, s.opts) //eucon:alloc-ok cold path: phase-1 recovery of an infeasible start
 		if err != nil {
-			return nil, fmt.Errorf("phase-1 for constrained least squares: %w", err)
+			return nil, fmt.Errorf("phase-1 for constrained least squares: %w", err) //eucon:alloc-ok error path only; the hot path never formats
 		}
 		copy(start, feasible)
 	}
@@ -114,7 +124,11 @@ func (s *LSI) Solve(d []float64, a *mat.Dense, b []float64, x0 []float64) (*Resu
 	if err != nil {
 		return res, err
 	}
-	s.warm = append(s.warm[:0], res.Active...)
+	if cap(s.warm) < len(res.Active) {
+		s.warm = make([]int, 0, n) //eucon:alloc-ok sized once, at the first solve that ends with an active constraint
+	}
+	s.warm = s.warm[:len(res.Active)]
+	copy(s.warm, res.Active)
 	// Report the true least-squares objective rather than the QP form.
 	s.c.MulVecTo(s.resid, res.X)
 	var obj float64

@@ -14,7 +14,7 @@
 // H = CᵀC + εI to guarantee strict convexity; callers that solve the same
 // C against many right-hand sides (the MPC hot path) should build an LSI
 // once and reuse it, which caches H and its Cholesky factorization and
-// keeps per-solve work allocation-light. A phase-1 slack program is
+// makes steady-state solves allocation-free. A phase-1 slack program is
 // used to recover a feasible start when the caller's initial point violates
 // the constraints, which happens in EUCON whenever a processor is overloaded
 // (u(k) > B makes Δr = 0 infeasible for the output constraints).
@@ -22,7 +22,10 @@
 // Internally each active-set iteration solves the equality-constrained
 // subproblem through the Schur complement Aw·H⁻¹·Awᵀ of the cached H
 // factorization, so the per-iteration dense solve is k×k (k = working-set
-// size, at most the variable count) instead of (n+k)×(n+k).
+// size, at most the variable count) instead of (n+k)×(n+k). Within a
+// solve, H⁻¹·a_w, the Schur entries and the QR of the working rows are
+// cached per working-set slot and reused until their slot is dropped,
+// with results bit-identical to recomputing them every iteration.
 package qp
 
 import (
@@ -139,42 +142,88 @@ type Result struct {
 	Stationarity float64
 }
 
-// workspace holds the per-solve scratch buffers so repeated solves through
-// an LSI allocate (almost) nothing. A zero workspace is ready for use;
-// ensure sizes it on demand.
+// workspace holds the scratch, the caches and the Result of one
+// active-set solve, so repeated solves through an LSI allocate nothing
+// once ensure has sized the buffers. A zero workspace is ready for use;
+// ensure sizes it lazily at the first solve.
+//
+// Two caches follow the working set slot by slot. Both are rebuilt from
+// scratch at the start of every solve, because the constraint matrix may
+// change between solves:
+//
+//   - hat[j] = H⁻¹·a_w and the Schur entries sc[i][j] = a_{w_i}·hat[j] for
+//     the first nhat slots. A slot is computed once, when solveKKT first
+//     sees it; a drop shifts the later slots down with the working set.
+//   - qr, the Householder QR of the working rows taken as columns, valid
+//     for its first qr.Cols() slots. addIfIndependent factors only the
+//     slots appended since the last check; a drop at slot i truncates it
+//     to i columns.
+//
+// Every cached value is the one the from-scratch computation would
+// produce (see DESIGN.md §6, "Memory model"), so solves are bit-identical
+// to re-solving and re-factoring everything each iteration.
 type workspace struct {
+	n           int // variable count the buffers are sized for
 	x, g, hg, p []float64
-	hat         [][]float64 // H⁻¹·a_w for each working constraint
 	working     []int
 	inWorking   []bool
+
+	hat  [][]float64 // H⁻¹·a_w per working slot, valid for slots < nhat
+	sc   []float64   // Schur entries, row-major with stride n, valid for slots < nhat
+	nhat int
+
+	lu          mat.LU // factors a k×k copy of the Schur cache in place
+	rhs, lambda []float64
+
+	qr            mat.QR    // QR of the working rows as columns, valid for slots < qr.Cols()
+	y, qrY, resid []float64 // addIfIndependent scratch
+	hx            []float64 // H·x for the objective
+	res           Result
+	resX          []float64
+	resActive     []int
 }
 
+// ensure sizes the workspace for n variables and m constraints and starts
+// an empty working set. Every buffer a solve can touch is sized here, in a
+// handful of allocations, the first time an n-variable problem arrives;
+// afterwards only a constraint matrix with more rows than any before grows
+// the inWorking flags. An LSI's variable count is fixed, so its
+// steady-state solves allocate nothing.
+//
+//eucon:noalloc
 func (ws *workspace) ensure(n, m int) {
-	if cap(ws.x) < n {
-		ws.x = make([]float64, n)
-		ws.g = make([]float64, n)
-		ws.hg = make([]float64, n)
-		ws.p = make([]float64, n)
-		ws.hat = make([][]float64, n)
+	if ws.n != n || ws.x == nil {
+		ws.n = n
+		// One slab backs every float vector and both n×n caches.
+		fs := make([]float64, 11*n+2*n*n) //eucon:alloc-ok sized once per variable count
+		ws.x, ws.g, ws.hg, ws.p = carve(&fs, n), carve(&fs, n), carve(&fs, n), carve(&fs, n)
+		ws.rhs, ws.lambda = carve(&fs, n), carve(&fs, n)
+		ws.y, ws.qrY, ws.resid = carve(&fs, n), carve(&fs, n), carve(&fs, n)
+		ws.hx, ws.resX = carve(&fs, n), carve(&fs, n)
+		ws.sc = carve(&fs, n*n)
+		ws.hat = make([][]float64, n) //eucon:alloc-ok sized once per variable count
 		for i := range ws.hat {
-			ws.hat[i] = make([]float64, n)
+			ws.hat[i] = carve(&fs, n)
 		}
+		is := make([]int, 2*n) //eucon:alloc-ok sized once per variable count
+		ws.working, ws.resActive = is[:0:n], is[n:n:2*n]
+		ws.lu.Reset(n)
 	}
-	ws.x = ws.x[:n]
-	ws.g = ws.g[:n]
-	ws.hg = ws.hg[:n]
-	ws.p = ws.p[:n]
 	if cap(ws.inWorking) < m {
-		ws.inWorking = make([]bool, m)
+		ws.inWorking = make([]bool, m) //eucon:alloc-ok grows only to the largest constraint matrix seen
 	}
 	ws.inWorking = ws.inWorking[:m]
-	for i := range ws.inWorking {
-		ws.inWorking[i] = false
-	}
-	if ws.working == nil {
-		ws.working = make([]int, 0, n)
-	}
+	clear(ws.inWorking)
 	ws.working = ws.working[:0]
+	ws.nhat = 0
+	ws.qr.Reset(n)
+}
+
+// carve cuts the next k elements off *slab.
+func carve(slab *[]float64, k int) []float64 {
+	v := (*slab)[:k:k]
+	*slab = (*slab)[k:]
+	return v
 }
 
 // Solve minimizes ½xᵀHx + fᵀx subject to a·x ≤ b, starting from the
@@ -193,22 +242,25 @@ func Solve(h *mat.Dense, f []float64, a *mat.Dense, b []float64, x0 []float64, o
 }
 
 // solveActiveSet is the primal active-set loop behind Solve and LSI.Solve.
-// hchol is the (possibly banded) factorization of h; ws supplies reusable
-// scratch.
+// hchol is the (possibly banded) factorization of h; ws supplies the
+// scratch, the caches, and the returned Result, which aliases ws and is
+// valid until ws's next solve.
+//
+//eucon:noalloc
 func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dense, b []float64, x0 []float64, opts Options, ws *workspace) (*Result, error) {
 	n := len(f)
 	m := 0
 	if a != nil {
 		m = a.Rows()
 		if a.Cols() != n {
-			return nil, fmt.Errorf("qp: A has %d columns, want %d", a.Cols(), n)
+			return nil, fmt.Errorf("qp: A has %d columns, want %d", a.Cols(), n) //eucon:alloc-ok error path only; the hot path never formats
 		}
 		if len(b) != m {
-			return nil, fmt.Errorf("qp: b has length %d, want %d", len(b), m)
+			return nil, fmt.Errorf("qp: b has length %d, want %d", len(b), m) //eucon:alloc-ok error path only; the hot path never formats
 		}
 	}
 	if len(x0) != n {
-		return nil, fmt.Errorf("qp: x0 has length %d, want %d", len(x0), n)
+		return nil, fmt.Errorf("qp: x0 has length %d, want %d", len(x0), n) //eucon:alloc-ok error path only; the hot path never formats
 	}
 	opts = opts.withDefaults(n, m)
 
@@ -216,33 +268,20 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 	x := ws.x
 	copy(x, x0)
 	if v := maxViolation(a, b, x); v > 1e-6 {
-		return nil, fmt.Errorf("qp: x0 violates constraints by %g: %w", v, ErrInfeasible)
+		return nil, fmt.Errorf("qp: x0 violates constraints by %g: %w", v, ErrInfeasible) //eucon:alloc-ok error path only; the hot path never formats
 	}
 
 	// Working set: indices of constraints treated as equalities. Seed with
 	// constraints active at x0, trying the caller's warm-start set first so
 	// a solve that resembles the previous one starts from (nearly) the
 	// optimal working set.
-	working := ws.working
-	inWorking := ws.inWorking
-	seed := func(i int) {
-		if len(working) >= n || inWorking[i] {
-			return
-		}
-		if math.Abs(mat.Dot(a.RowView(i), x)-b[i]) <= opts.Tol {
-			if addIfIndependent(a, working, i) {
-				working = append(working, i)
-				inWorking[i] = true
-			}
-		}
-	}
 	for _, i := range opts.WarmStart {
 		if i >= 0 && i < m {
-			seed(i)
+			ws.seed(a, b, i, opts.Tol)
 		}
 	}
 	for i := 0; i < m; i++ {
-		seed(i)
+		ws.seed(a, b, i, opts.Tol)
 	}
 
 	iter := 0
@@ -252,16 +291,14 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 		for i := range ws.g {
 			ws.g[i] += f[i]
 		}
-		p, lambda, err := solveKKT(hchol, a, working, ws.g, ws)
+		p, lambda, err := ws.solveKKT(hchol, a, ws.g)
 		if err != nil {
 			// Degenerate working set: drop the most recently added
 			// constraint and retry.
-			if len(working) == 0 {
-				return nil, fmt.Errorf("qp: KKT solve failed with empty working set: %v: %w", err, ErrSingular)
+			if len(ws.working) == 0 {
+				return nil, fmt.Errorf("qp: KKT solve failed with empty working set: solve KKT system: %v: %w", err, ErrSingular) //eucon:alloc-ok terminal error path; the retry path never formats
 			}
-			last := working[len(working)-1]
-			working = working[:len(working)-1]
-			inWorking[last] = false
+			ws.drop(len(ws.working) - 1)
 			continue
 		}
 		scale := 1 + mat.NormInf(x)
@@ -275,18 +312,16 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 				}
 			}
 			if minIdx < 0 {
-				return result(h, f, x, iter, working, StatusOK, stationarity), nil
+				return ws.result(h, f, iter, StatusOK, stationarity), nil
 			}
 			// Drop the constraint with the most negative multiplier.
-			dropped := working[minIdx]
-			working = append(working[:minIdx], working[minIdx+1:]...)
-			inWorking[dropped] = false
+			ws.drop(minIdx)
 			continue
 		}
 		// Line search to the nearest blocking constraint.
 		alpha, blocking := 1.0, -1
 		for i := 0; i < m; i++ {
-			if inWorking[i] {
+			if ws.inWorking[i] {
 				continue
 			}
 			ai := a.RowView(i)
@@ -305,10 +340,9 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 		for i := range x {
 			x[i] += alpha * p[i]
 		}
-		if blocking >= 0 && len(working) < n {
-			if addIfIndependent(a, working, blocking) {
-				working = append(working, blocking)
-				inWorking[blocking] = true
+		if blocking >= 0 && len(ws.working) < n {
+			if ws.addIfIndependent(a, blocking) {
+				ws.push(blocking)
 			} else if mat.IsZero(alpha) {
 				// Degenerate zero step onto a dependent constraint: give the
 				// multiplier check a chance by treating it as stationary next
@@ -317,43 +351,104 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 			}
 		}
 	}
-	return result(h, f, x, iter, working, StatusIterationCapped, stationarity), ErrMaxIterations
+	return ws.result(h, f, iter, StatusIterationCapped, stationarity), ErrMaxIterations
 }
 
-// result copies the iterate out of the workspace into a caller-owned
-// Result.
-func result(h *mat.Dense, f, x []float64, iter int, working []int, status Status, stationarity float64) *Result {
-	return &Result{
-		X:            mat.VecClone(x),
-		Objective:    objective(h, f, x),
-		Iterations:   iter,
-		Active:       append([]int(nil), working...),
-		Status:       status,
-		Stationarity: stationarity,
+// seed admits constraint i to the working set when it is active at the
+// starting point and independent of the constraints already admitted.
+//
+//eucon:noalloc
+func (ws *workspace) seed(a *mat.Dense, b []float64, i int, tol float64) {
+	if len(ws.working) >= ws.n || ws.inWorking[i] {
+		return
 	}
+	if math.Abs(mat.Dot(a.RowView(i), ws.x)-b[i]) <= tol {
+		if ws.addIfIndependent(a, i) {
+			ws.push(i)
+		}
+	}
+}
+
+// push appends constraint i to the working set. The caches extend lazily.
+//
+//eucon:noalloc
+func (ws *workspace) push(i int) {
+	k := len(ws.working)
+	ws.working = ws.working[:k+1]
+	ws.working[k] = i
+	ws.inWorking[i] = true
+}
+
+// drop removes working slot pos. The cached H⁻¹·a_w slots and Schur
+// entries after pos shift down with the working set (nothing is
+// re-solved), and the QR keeps its columns before pos.
+//
+//eucon:noalloc
+func (ws *workspace) drop(pos int) {
+	w := ws.working
+	ws.inWorking[w[pos]] = false
+	copy(w[pos:], w[pos+1:])
+	ws.working = w[:len(w)-1]
+	if k := ws.nhat; pos < k {
+		n, sc := ws.n, ws.sc
+		buf := ws.hat[pos]
+		copy(ws.hat[pos:k-1], ws.hat[pos+1:k])
+		ws.hat[k-1] = buf
+		for i := 0; i < k; i++ {
+			row := sc[i*n : i*n+k]
+			copy(row[pos:], row[pos+1:])
+		}
+		copy(sc[pos*n:(k-1)*n], sc[(pos+1)*n:k*n])
+		ws.nhat = k - 1
+	}
+	ws.qr.Truncate(pos)
+}
+
+// result fills the workspace-owned Result from the current iterate.
+//
+//eucon:noalloc
+func (ws *workspace) result(h *mat.Dense, f []float64, iter int, status Status, stationarity float64) *Result {
+	r := &ws.res
+	r.X = ws.resX[:ws.n]
+	copy(r.X, ws.x)
+	r.Active = ws.resActive[:len(ws.working)]
+	copy(r.Active, ws.working)
+	r.Objective = ws.objective(h, f)
+	r.Iterations = iter
+	r.Status = status
+	r.Stationarity = stationarity
+	return r
 }
 
 // addIfIndependent reports whether row idx of a is linearly independent of
-// the rows already in the working set (so the KKT system stays nonsingular).
-func addIfIndependent(a *mat.Dense, working []int, idx int) bool {
-	if len(working) == 0 {
-		return mat.Norm2(a.RowView(idx)) > 0
-	}
-	// Solve min‖Awᵀy − aᵢ‖: a tiny residual means aᵢ ∈ span(rows of Aw).
-	n := a.Cols()
-	awt := mat.New(n, len(working))
-	for j, w := range working {
-		row := a.RowView(w)
-		for i := 0; i < n; i++ {
-			awt.Set(i, j, row[i])
-		}
-	}
+// the rows already in the working set (so the KKT system stays
+// nonsingular): it solves min‖Awᵀy − aᵢ‖ and tests the residual. Only the
+// working slots appended since the last call are factored into the cached
+// QR; the rest of it is reused as is.
+//
+//eucon:noalloc
+func (ws *workspace) addIfIndependent(a *mat.Dense, idx int) bool {
 	ai := a.RowView(idx)
-	y, err := mat.LeastSquares(awt, ai)
-	if err != nil {
+	k := len(ws.working)
+	if k == 0 {
+		return mat.Norm2(ai) > 0
+	}
+	for j := ws.qr.Cols(); j < k; j++ {
+		ws.qr.AppendColumn(a.RowView(ws.working[j]))
+	}
+	y := ws.y[:k]
+	if ws.qr.SolveLeastSquaresTo(y, ws.qrY, ai) != nil {
 		return true // rank-deficient basis is handled by the KKT fallback
 	}
-	res := mat.VecSub(awt.MulVec(y), ai)
+	// A tiny residual Awᵀy − aᵢ means aᵢ ∈ span(rows of Aw).
+	res := ws.resid
+	for i := range res {
+		var s float64
+		for j, w := range ws.working {
+			s += a.At(w, i) * y[j]
+		}
+		res[i] = s - ai[i]
+	}
 	return mat.Norm2(res) > 1e-9*(1+mat.Norm2(ai))
 }
 
@@ -363,39 +458,42 @@ func addIfIndependent(a *mat.Dense, working []int, idx int) bool {
 //
 // returning the step p and the Lagrange multipliers of the working
 // constraints. It uses the cached Cholesky factorization of H and the
-// Schur complement S = Aw·H⁻¹·Awᵀ, so the only dense solve is k×k.
-// Both returned slices alias workspace storage valid until the next call.
-func solveKKT(hchol *mat.SPDFactor, a *mat.Dense, working []int, g []float64, ws *workspace) (p, lambda []float64, err error) {
+// Schur complement S = Aw·H⁻¹·Awᵀ, so the only dense factorization is
+// k×k. Both returned slices alias workspace storage valid until the next
+// call. A singular system returns the factorization's bare error, so the
+// caller's drop-and-retry never formats one.
+//
+//eucon:noalloc
+func (ws *workspace) solveKKT(hchol *mat.SPDFactor, a *mat.Dense, g []float64) (p, lambda []float64, err error) {
 	hg := ws.hg
 	if err := hchol.SolveVecTo(hg, g); err != nil {
-		return nil, nil, fmt.Errorf("solve KKT system: %w", err)
+		return nil, nil, err
 	}
 	p = ws.p
-	k := len(working)
+	k := len(ws.working)
 	if k == 0 {
 		for i := range p {
 			p[i] = -hg[i]
 		}
 		return p, nil, nil
 	}
-	for wi, w := range working {
-		if err := hchol.SolveVecTo(ws.hat[wi], a.RowView(w)); err != nil {
-			return nil, nil, fmt.Errorf("solve KKT system: %w", err)
-		}
+	if err := ws.extendSchur(hchol, a); err != nil {
+		return nil, nil, err
 	}
 	// S·λ = −Aw·H⁻¹·g with S[i][j] = a_i·H⁻¹·a_j.
-	s := mat.New(k, k)
-	rhs := make([]float64, k)
-	for i, w := range working {
-		ai := a.RowView(w)
-		for j := 0; j < k; j++ {
-			s.Set(i, j, mat.Dot(ai, ws.hat[j]))
-		}
-		rhs[i] = -mat.Dot(ai, hg)
+	n := ws.n
+	s := ws.lu.Reset(k)
+	rhs := ws.rhs[:k]
+	for i, w := range ws.working {
+		copy(s.RowView(i), ws.sc[i*n:i*n+k])
+		rhs[i] = -mat.Dot(a.RowView(w), hg)
 	}
-	lambda, err = mat.SolveVec(s, rhs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("solve KKT system: %w", err)
+	if err := ws.lu.Factor(); err != nil {
+		return nil, nil, err
+	}
+	lambda = ws.lambda[:k]
+	if err := ws.lu.SolveVecTo(lambda, rhs); err != nil {
+		return nil, nil, err
 	}
 	// p = −H⁻¹·g − Σ λ_j·H⁻¹·a_j.
 	for i := range p {
@@ -408,8 +506,34 @@ func solveKKT(hchol *mat.SPDFactor, a *mat.Dense, working []int, g []float64, ws
 	return p, lambda, nil
 }
 
-func objective(h *mat.Dense, f []float64, x []float64) float64 {
-	return 0.5*mat.Dot(x, h.MulVec(x)) + mat.Dot(f, x)
+// extendSchur computes H⁻¹·a_w and the Schur row and column of every
+// working slot added since the last call.
+//
+//eucon:noalloc
+func (ws *workspace) extendSchur(hchol *mat.SPDFactor, a *mat.Dense) error {
+	n, sc := ws.n, ws.sc
+	for j := ws.nhat; j < len(ws.working); j++ {
+		aj := a.RowView(ws.working[j])
+		if err := hchol.SolveVecTo(ws.hat[j], aj); err != nil {
+			return err
+		}
+		for i := 0; i < j; i++ {
+			sc[i*n+j] = mat.Dot(a.RowView(ws.working[i]), ws.hat[j])
+		}
+		for i := 0; i <= j; i++ {
+			sc[j*n+i] = mat.Dot(aj, ws.hat[i])
+		}
+		ws.nhat = j + 1
+	}
+	return nil
+}
+
+// objective returns ½xᵀHx + fᵀx at the current iterate.
+//
+//eucon:noalloc
+func (ws *workspace) objective(h *mat.Dense, f []float64) float64 {
+	h.MulVecTo(ws.hx, ws.x)
+	return 0.5*mat.Dot(ws.x, ws.hx) + mat.Dot(f, ws.x)
 }
 
 func maxViolation(a *mat.Dense, b, x []float64) float64 {

@@ -1,6 +1,7 @@
 #!/bin/sh
 # bench_trend.sh appends a dated JSON snapshot of the key benchmarks (clean
-# and faulted steady state, plus the LARGE-scale structured-solver and
+# and faulted steady state, the reused constrained QP solve and the serial
+# Figure-5 sweep, plus the LARGE-scale structured-solver and
 # localized-DEUCON steps) and the sweep/fault/LARGE-workload digests to
 # BENCH_<date>.json, tracking the performance trajectory of the simulator
 # core across PRs.
@@ -19,13 +20,14 @@ date="$(date +%Y-%m-%d)"
 out="${1:-BENCH_${date}.json}"
 benchtime="${BENCHTIME:-10x}"
 
-benches='BenchmarkSimulatorMedium$|BenchmarkSimulatorSteadyState$|BenchmarkSimulatorFaultedSteadyState$|BenchmarkFig4SimpleSweep$|BenchmarkFig4SimpleSweepSerial$|BenchmarkControllerStepMedium$|BenchmarkDeuconLocalStep$|BenchmarkControllerStepLarge128$|BenchmarkControllerStepLarge128Dense$|BenchmarkDeuconLocalStepLarge128$|BenchmarkDeuconLocalStepLarge1024$'
+benches='BenchmarkSimulatorMedium$|BenchmarkSimulatorSteadyState$|BenchmarkSimulatorFaultedSteadyState$|BenchmarkFig4SimpleSweep$|BenchmarkFig4SimpleSweepSerial$|BenchmarkControllerStepMedium$|BenchmarkDeuconLocalStep$|BenchmarkControllerStepLarge128$|BenchmarkControllerStepLarge128Dense$|BenchmarkDeuconLocalStepLarge128$|BenchmarkDeuconLocalStepLarge1024$|BenchmarkQPSolverReused$'
 
 # The LARGE Figure-4 sweeps run full 120-period closed loops per iteration
 # (~2 s at 128 processors, ~25 s at 1024), so they get one iteration each:
 # the number tracked is the near-linear 128→1024 scaling ratio, not ns/op
-# noise.
-large_benches='BenchmarkFig4Large128$|BenchmarkFig4Large1024$'
+# noise. The serial Figure-5 sweep (MEDIUM, constrained solves on the u ≤ B
+# boundary) is the active-set QP's end-to-end cost, also one iteration.
+large_benches='BenchmarkFig4Large128$|BenchmarkFig4Large1024$|BenchmarkFig5MediumSweepSerial$'
 
 {
 	go test -run '^$' -bench "$benches" -benchmem -benchtime "$benchtime" .

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Tier-1 check: gofmt -s, vet, euconlint, build, race-enabled tests,
 # benchmark smoke, the steady-state zero-allocation gates (simulator, the
-# interior MPC step on MEDIUM, and the localized DEUCON step at 128
-# processors), the sweep/fault/LARGE-workload digest diffs against
+# interior MPC step on MEDIUM, the localized DEUCON step at 128 and 1024
+# processors, and the constrained solve through a reused qp.LSI), the
+# sweep/fault/LARGE-workload digest diffs against
 # scripts/golden/, and the
 # chaos smoke campaigns (25 seeded fault storms on SIMPLE, 6 localized
 # fault storms at 128 processors, and 2 partition scenarios against a real
@@ -74,6 +75,32 @@ if [ -z "$loc_allocs" ]; then
 fi
 if [ "$loc_allocs" != "0" ]; then
 	echo "FAIL: BenchmarkDeuconLocalStepLarge128 reports $loc_allocs allocs/op; the localized per-processor step must not allocate in steady state"
+	exit 1
+fi
+
+echo "==> constrained QP allocation gate (BenchmarkQPSolverReused)"
+qp_out=$(go test -run '^$' -bench 'BenchmarkQPSolverReused$' -benchmem -benchtime 5x .)
+echo "$qp_out"
+qp_allocs=$(echo "$qp_out" | awk '/BenchmarkQPSolverReused/ {print $(NF-1)}')
+if [ -z "$qp_allocs" ]; then
+	echo "FAIL: BenchmarkQPSolverReused did not run; the constrained-solve allocation gate has no teeth"
+	exit 1
+fi
+if [ "$qp_allocs" != "0" ]; then
+	echo "FAIL: BenchmarkQPSolverReused reports $qp_allocs allocs/op; a reused qp.LSI's active-set solve must not allocate"
+	exit 1
+fi
+
+echo "==> localized-DEUCON allocation gate at 1024 processors (BenchmarkDeuconLocalStepLarge1024)"
+loc1024_out=$(go test -run '^$' -bench 'BenchmarkDeuconLocalStepLarge1024$' -benchmem -benchtime 5x .)
+echo "$loc1024_out"
+loc1024_allocs=$(echo "$loc1024_out" | awk '/BenchmarkDeuconLocalStepLarge1024/ {print $(NF-1)}')
+if [ -z "$loc1024_allocs" ]; then
+	echo "FAIL: BenchmarkDeuconLocalStepLarge1024 did not run; the 1024-processor allocation gate has no teeth"
+	exit 1
+fi
+if [ "$loc1024_allocs" != "0" ]; then
+	echo "FAIL: BenchmarkDeuconLocalStepLarge1024 reports $loc1024_allocs allocs/op; local steps that fall back to the active-set solve must not allocate"
 	exit 1
 fi
 
